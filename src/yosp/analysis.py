@@ -13,14 +13,15 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, PoleError, RatFunc, Scalar,
                           UniPoly, ZERO, rat, rat_str)
-from ._linalg import (SingularMatrix, Span, eye, inverse, mat_add, mat_eq,
-                      mat_mul, mat_scale, mat_sub, mat_vec, nullspace, rank,
-                      transpose, zeros)
-from .super_linalg import bar, build_P_Q_R, iprime, rc_eval, theta
+from ._linalg import (SingularMatrix, Span, eye, inverse, mat_eq, mat_mul,
+                      mat_scale, mat_sub, mat_vec, nullspace, rank)
+from .super_linalg import bar, build_P_Q_R, iprime, theta
 from .rep_core import ModuleRep, to_json_dict
 from .hopf_tensor import HighestWeight
 
@@ -95,9 +96,17 @@ def module_digest(m: ModuleRep) -> str:
 
 # ---------------------------------------------------------------------------
 # Relation verifiers
+#
+# Both verifiers compare sparse integer matrices.  A point x = a/q is
+# evaluated once as q^E L T_ij(x), where E bounds the degree of every T_ij
+# and L is the lcm of all their coefficient denominators; R(w) is cleared
+# the same way.  Each side of either relation is bilinear in the two
+# evaluations of T and linear in R, so these nonzero per-point factors scale
+# both sides alike and do not change whether they agree.  Only the checked
+# columns of a product are formed.
 # ---------------------------------------------------------------------------
 
-_RTT_CACHE = build_P_Q_R()
+_RC = build_P_Q_R()[2]
 
 
 def _avoiding(start, bad, count, step=1):
@@ -115,6 +124,99 @@ def _interior_cols(m: ModuleRep, margin: int):
     return m.interior_indices(margin) if m.truncated else list(range(m.dim))
 
 
+def _checked_cols(m: ModuleRep, margin: int):
+    """The columns a verifier compares; TruncatedInput when there are none."""
+    cols = _interior_cols(m, margin)
+    if not cols:
+        raise TruncatedInput(
+            f"no column of this dim-{m.dim} module lies {margin} levels below "
+            f"its truncation cut; build it deeper to verify it")
+    return cols
+
+
+def _den_lcm(mats):
+    """The lcm of the denominators of every entry of the matrices."""
+    return lcm(*{x.denominator for M in mats for row in M for x in row})
+
+
+def _int_rows(coeffs, E, L):
+    """L * sum_k coeffs[k] u^k as sparse rows: per row, (column, integer
+    coefficients ascending, padded to degree E) for each nonzero entry."""
+    out = []
+    for r in range(len(coeffs[0])):
+        entries = []
+        for c in range(len(coeffs[0][r])):
+            xs = [M[r][c] for M in coeffs]
+            if any(xs):
+                ints = [x.numerator * (L // x.denominator) for x in xs]
+                entries.append((c, ints + [0] * (E + 1 - len(ints))))
+        out.append(entries)
+    return out
+
+
+def _eval_rows(rows, E, x):
+    """q^E times the _int_rows polynomial at x = a/q, as sparse rows of
+    (column, integer value)."""
+    a, q = x.numerator, x.denominator
+    pw = [a ** k * q ** (E - k) for k in range(E + 1)]
+    out = []
+    for entries in rows:
+        row = []
+        for c, ints in entries:
+            v = sum(map(mul, ints, pw))
+            if v:
+                row.append((c, v))
+        out.append(row)
+    return out
+
+
+def _int_module(m: ModuleRep):
+    """(E, L, ops): E bounds the degree of every T_ij, L is the lcm of all
+    their denominators, and ops[i][j] is _int_rows of T_ij."""
+    E = max(len(op.coeffs) for row in m.T for op in row) - 1
+    L = _den_lcm([M for row in m.T for op in row for M in op.coeffs])
+    return E, L, [[_int_rows(op.coeffs, E, L) for op in row] for row in m.T]
+
+
+def _eval_T(ops, E, x):
+    return [[_eval_rows(rows, E, x) for rows in row] for row in ops]
+
+
+def _cut(T, colpos):
+    """Evaluated T restricted to the checked columns, renumbered by colpos."""
+    return [[[[(colpos[c], v) for c, v in r if c in colpos] for r in rows]
+             for rows in row] for row in T]
+
+
+def _prod(A, Bcut, width):
+    """A @ B[:, cols] from sparse rows, as {row * width + position: value}."""
+    out = {}
+    for t, row in enumerate(A):
+        base = t * width
+        for j, a in row:
+            for s, b in Bcut[j]:
+                k = base + s
+                out[k] = out.get(k, 0) + a * b
+    return out
+
+
+def _combine(terms):
+    """The sum of c * X over the (c, X) terms, keeping nonzero entries only."""
+    acc = {}
+    for c, X in terms:
+        for k, x in X.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return {k: v for k, v in acc.items() if v}
+
+
+def _first_mismatch(lhs, rhs, cols):
+    """(row, column) of the first entry where two sparse blocks differ."""
+    k = min(k for k in lhs.keys() | rhs.keys()
+            if lhs.get(k, 0) != rhs.get(k, 0))
+    t, s = divmod(k, len(cols))
+    return t, cols[s]
+
+
 def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0,
                margin: int = 4) -> dict:
     """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on a sample grid.
@@ -123,9 +225,9 @@ def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0,
     clearing denominators, so exact agreement on a (deg d + 3)-per-axis grid
     proves the identity; truncated modules are checked on source columns with
     a safety margin below the cut.  Raises RelationViolation with a witness
-    on failure, returns a report dict on success.
+    on failure, TruncatedInput when no column lies below the margin, and
+    returns a report dict on success.
     """
-    P, Q, Rc = _RTT_CACHE
     D = m.denom.degree
     side = D + 3
     while side * side < n_samples:
@@ -135,64 +237,63 @@ def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0,
     droots = [-f.alpha + HALF for f in m.factors] + [-f.beta for f in m.factors]
     us = _avoiding(rat(base), droots, side)
     vs = _avoiding(rat(base) + rat(1, 3), droots, side)
-    cols = _interior_cols(m, margin)
-    n = m.dim
+    cols = _checked_cols(m, margin)
+    colpos = {c: k for k, c in enumerate(cols)}
+    width = len(cols)
+    E, _, ops = _int_module(m)
+    deg_r = len(_RC) - 1
+    rc = _int_rows(_RC, deg_r, _den_lcm(_RC))
+    # Block (e, f) = ((A,B), (C,D)) of T_1(u) T_2(v), resp. T_2(v) T_1(u),
+    # carries the Koszul sign -1 when |A|+|C| and |B|, resp. |D|, are odd.
+    idx = [(e // 3 + 1, e % 3 + 1) for e in range(9)]
+    sx = [[-1 if (bar(A) + bar(C)) % 2 and bar(B) else 1
+           for C, _ in idx] for A, B in idx]
+    sy = [[-1 if (bar(A) + bar(C)) % 2 and bar(Dd) else 1
+           for C, Dd in idx] for A, _ in idx]
+    at_v = [_eval_T(ops, E, v0) for v0 in vs]
+    at_v = [(Tv, _cut(Tv, colpos)) for Tv in at_v]
     samples = []
     for u0 in us:
-        Mu = [[m.op(i, j).eval(u0) for j in range(1, 4)] for i in range(1, 4)]
-        for v0 in vs:
-            Mv = [[m.op(i, j).eval(v0) for j in range(1, 4)] for i in range(1, 4)]
-            X, Y = {}, {}
-            for A in range(1, 4):
-                for C in range(1, 4):
-                    sAC = (bar(A) + bar(C)) % 2
-                    prodAC = Mu[A - 1][C - 1]
-                    for B in range(1, 4):
-                        for Dd in range(1, 4):
-                            x = mat_mul(prodAC, Mv[B - 1][Dd - 1])
-                            y = mat_mul(Mv[B - 1][Dd - 1], prodAC)
-                            if sAC and bar(B):
-                                x = mat_scale(x, -1)
-                            if sAC and bar(Dd):
-                                y = mat_scale(y, -1)
-                            X[(3 * A + B - 4, 3 * C + Dd - 4)] = x
-                            Y[(3 * A + B - 4, 3 * C + Dd - 4)] = y
-            R = rc_eval(Rc, u0 - v0)
+        Tu = _eval_T(ops, E, u0)
+        Tu_cut = _cut(Tu, colpos)
+        for v0, (Tv, Tv_cut) in zip(vs, at_v):
+            X, Y = [None] * 81, [None] * 81
+            for e, (A, B) in enumerate(idx):
+                for f, (C, Dd) in enumerate(idx):
+                    X[9 * e + f] = _prod(Tu[A - 1][C - 1], Tv_cut[B - 1][Dd - 1],
+                                         width)
+                    Y[9 * e + f] = _prod(Tv[B - 1][Dd - 1], Tu_cut[A - 1][C - 1],
+                                         width)
+            R = _eval_rows(rc, deg_r, u0 - v0)
+            R_cols = [[] for _ in range(9)]
+            for p, row in enumerate(R):
+                for e, c in row:
+                    R_cols[e].append((p, c))
             for p in range(9):
-                for q in range(9):
-                    L = zeros(n)
-                    Rm = zeros(n)
-                    for e in range(9):
-                        if R[p][e] != 0:
-                            L = mat_add(L, mat_scale(X[(e, q)], R[p][e]))
-                        if R[e][q] != 0:
-                            Rm = mat_add(Rm, mat_scale(Y[(p, e)], R[e][q]))
-                    for t in range(n):
-                        for s in cols:
-                            if L[t][s] != Rm[t][s]:
-                                raise RelationViolation(
-                                    f"RTT fails at (u,v)=({u0},{v0}) "
-                                    f"block ({p},{q}) entry ({t},{s})",
-                                    witness=(u0, v0, (p, q, t, s)))
+                for f in range(9):
+                    lhs = _combine([(c * sx[e][f], X[9 * e + f]) for e, c in R[p]])
+                    rhs = _combine([(c * sy[p][e], Y[9 * p + e])
+                                    for e, c in R_cols[f]])
+                    if lhs != rhs:
+                        t, s = _first_mismatch(lhs, rhs, cols)
+                        raise RelationViolation(
+                            f"RTT fails at (u,v)=({u0},{v0}) "
+                            f"block ({p},{f}) entry ({t},{s})",
+                            witness=(u0, v0, (p, f, t, s)))
             samples.append({"u": rat_str(u0), "v": rat_str(v0), "pass": True})
     return {"check": "rtt", "module_digest": module_digest(m),
             "degree_bound": [D + 2, D + 2], "grid": [len(us), len(vs)],
-            "samples": samples, "result": "pass"}
-
-
-def _super_transpose_ops(m: ModuleRep):
-    """The 3x3 array of operator polynomials of T^t."""
-    out = [[None] * 3 for _ in range(3)]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            s = theta(i) * theta(j) * (-1) ** (bar(i) * bar(j) + bar(j))
-            out[i - 1][j - 1] = m.op(iprime(j), iprime(i)).scale(s)
-    return out
+            "samples": samples, "columns_checked": width,
+            "backend": Scalar.__qualname__, "result": "pass"}
 
 
 def verify_central(m: ModuleRep, n_samples: int = 0, seed: int = 0,
                    margin: int = 4) -> dict:
-    """Certify T(u-kappa) T^t(u) = c(u) d(u-kappa) d(u) identity at samples."""
+    """Certify T(u-kappa) T^t(u) = c(u) d(u-kappa) d(u) identity at samples.
+
+    Raises RelationViolation with a witness on failure and TruncatedInput
+    when no column lies below the margin.
+    """
     D = m.denom.degree
     count = max(2 * D + 3, n_samples)
     rng = random.Random(seed)
@@ -203,31 +304,40 @@ def verify_central(m: ModuleRep, n_samples: int = 0, seed: int = 0,
             bad.extend([r, r + KAPPA])
     bad.extend(r for r, c in _poly_rational_roots(m.c.den)[0].items())
     us = _avoiding(rat(base) + rat(1, 7), bad, count)
-    cols = _interior_cols(m, margin)
-    n = m.dim
-    Tt = _super_transpose_ops(m)
+    cols = _checked_cols(m, margin)
+    colpos = {c: k for k, c in enumerate(cols)}
+    width = len(cols)
+    E, L, ops = _int_module(m)
+    # (T^t)_kj = theta_k theta_j (-1)^{|k||j|+|j|} T_{j'k'}, 1-based.
+    st = [[theta(k) * theta(j) * (-1) ** (bar(k) * bar(j) + bar(j))
+           for j in range(1, 4)] for k in range(1, 4)]
     samples = []
     for u0 in us:
-        lhs_scalar = m.c(u0) * m.denom(u0 - KAPPA) * m.denom(u0)
-        Mu = [[m.op(i, j).eval(u0 - KAPPA) for j in range(1, 4)]
-              for i in range(1, 4)]
-        Mt = [[Tt[i][j].eval(u0) for j in range(3)] for i in range(3)]
+        x = u0 - KAPPA
+        Tx = _eval_T(ops, E, x)
+        Tu_cut = _cut(_eval_T(ops, E, u0), colpos)
+        want = (m.c(u0) * m.denom(x) * m.denom(u0)
+                * L * x.denominator ** E * L * u0.denominator ** E)
+        if want.denominator == 1:
+            want = want.numerator
+        diag = {c * width + k: want for k, c in enumerate(cols) if want}
         for i in range(3):
             for j in range(3):
-                acc = zeros(n)
-                for k in range(3):
-                    acc = mat_add(acc, mat_mul(Mu[i][k], Mt[k][j]))
-                for t in range(n):
-                    for s in cols:
-                        want = lhs_scalar if (i == j and t == s) else ZERO
-                        if acc[t][s] != want:
-                            raise RelationViolation(
-                                f"central relation fails at u={u0} "
-                                f"entry ({i+1},{j+1})({t},{s})",
-                                witness=(u0, (i + 1, j + 1, t, s)))
+                acc = _combine([(st[k][j], _prod(Tx[i][k], Tu_cut[2 - j][2 - k],
+                                                 width))
+                                for k in range(3)])
+                target = diag if i == j else {}
+                if acc != target:
+                    t, s = _first_mismatch(acc, target, cols)
+                    raise RelationViolation(
+                        f"central relation fails at u={u0} "
+                        f"entry ({i+1},{j+1})({t},{s})",
+                        witness=(u0, (i + 1, j + 1, t, s)))
         samples.append({"u": rat_str(u0), "pass": True})
     return {"check": "central", "module_digest": module_digest(m),
-            "degree_bound": 2 * D, "samples": samples, "result": "pass"}
+            "degree_bound": 2 * D, "samples": samples,
+            "columns_checked": width, "backend": Scalar.__qualname__,
+            "result": "pass"}
 
 
 def _t_blocks_at(m: ModuleRep, x) -> List[List[List[List[Scalar]]]]:

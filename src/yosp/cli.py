@@ -244,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="yosp",
         description="Exact computations with highest-weight modules over "
                     "the extended Yangian X(osp(1|2)).")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count for verification (serial fallback)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("elementary", help="build L(alpha,beta)")

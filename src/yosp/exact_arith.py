@@ -31,11 +31,15 @@ class InconsistentSamples(ValueError):
 
 
 def rat(x, y=None) -> Scalar:
-    """Coerce ints, "p/q" strings, Fractions or Scalars to a Scalar."""
+    """Coerce ints, "p/q" strings, Fractions or Scalars to a Scalar.
+
+    A Scalar comes back as itself: scalars are immutable, so sharing one is
+    safe and skips a copy on every entry of every operator built.
+    """
     if y is not None:
         return Scalar(x) / Scalar(y)
-    if isinstance(x, str):
-        return Scalar(x)
+    if isinstance(x, Scalar):
+        return x
     return Scalar(x)
 
 

@@ -90,3 +90,16 @@ def test_truncated_analysis_reports_error(tmp_path, capsys):
           "--depth", "4", "--out", mod])
     assert main(["irreducible", mod]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_with_no_checked_column_is_a_usage_error(tmp_path, capsys):
+    """Depth 3 leaves no column 4 levels below the cut: refuse, never pass."""
+    mod = str(tmp_path / "m.json")
+    assert main(["small-verma", "--alpha=-1/3", "--beta", "0",
+                 "--depth", "3", "--out", mod]) == 0
+    capsys.readouterr()
+    assert main(["verify", "rtt", mod]) == 2
+    assert main(["verify", "central", mod]) == 2
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert "error" in captured.err
