@@ -2,8 +2,8 @@
 
 from .exact_arith import (DegreeError, InconsistentSamples, PoleError, RatFunc,
                           Scalar, TruncatedSeries, UniPoly, rat, rat_str)
-from .super_linalg import GradedMatrix, GradedSpace, OperatorPoly
-from .rep_core import (Factor, MissingDepth, ModuleRep,
+from .super_linalg import GradedSpace, OperatorPoly
+from .rep_core import (Factor, MissingDepth, ModuleFormatError, ModuleRep,
                        ReconstructionInconsistent, apply_twist,
                        build_elementary, build_small_verma, load_module,
                        save_module, vector_representation)

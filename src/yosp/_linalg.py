@@ -29,10 +29,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
 def mat_scale(A, c):
     c = rat(c)
     return [[c * a for a in row] for row in A]
@@ -67,10 +63,6 @@ def mat_vec(A, v):
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def is_zero_mat(A):
-    return all(a == 0 for row in A for a in row)
 
 
 def mat_eq(A, B):

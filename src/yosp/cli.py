@@ -43,6 +43,19 @@ def _fmt_ratfunc(f: RatFunc) -> str:
     return f"{_fmt_poly(f.num)} / {_fmt_poly(f.den)}"
 
 
+def _rational(text: str):
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
+    return int(text)
+
+
 def _emit(args, payload: dict, text: str):
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=1))
@@ -51,14 +64,14 @@ def _emit(args, payload: dict, text: str):
 
 
 def cmd_elementary(args):
-    m = build_elementary(rat(args.alpha), rat(args.beta), depth=args.depth)
+    m = build_elementary(args.alpha, args.beta, depth=args.depth)
     save_module(m, args.out)
     print(f"wrote L({args.alpha},{args.beta}) dim {m.dim} to {args.out}")
     return 0
 
 
 def cmd_small_verma(args):
-    m = build_small_verma(rat(args.alpha), rat(args.beta), depth=args.depth)
+    m = build_small_verma(args.alpha, args.beta, depth=args.depth)
     save_module(m, args.out)
     print(f"wrote M({args.alpha},{args.beta}) depth {args.depth} "
           f"dim {m.dim} to {args.out}")
@@ -85,7 +98,7 @@ def cmd_verify(args):
             report = an.verify_central(m, n_samples=args.samples,
                                        seed=args.seed)
         else:
-            report = an.gauss_diagonal_check(m, rat(args.at))
+            report = an.gauss_diagonal_check(m, args.at)
     except an.RelationViolation as exc:
         print(f"FAIL: {exc}")
         return 1
@@ -247,16 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("elementary", help="build L(alpha,beta)")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--alpha", type=_rational, required=True)
+    p.add_argument("--beta", type=_rational, required=True)
+    p.add_argument("--depth", type=_natural, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_elementary)
 
     p = sub.add_parser("small-verma", help="build truncated M(alpha,beta)")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--alpha", type=_rational, required=True)
+    p.add_argument("--beta", type=_rational, required=True)
+    p.add_argument("--depth", type=_natural, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_small_verma)
 
@@ -270,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--at", default="7", help="sample point for gauss")
+    p.add_argument("--at", type=_rational, default="7",
+                   help="sample point for gauss")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -329,11 +329,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
 
 
-def ratfunc_eval(f: RatFunc, u0) -> Scalar:
-    """Exact value f(u0); PoleError when the denominator vanishes there."""
-    return f(u0)
-
-
 def series_expand(f: RatFunc, order: int) -> TruncatedSeries:
     """First order+1 coefficients of the expansion of f in powers of u^{-1}."""
     dn, dd = f.num.degree, f.den.degree

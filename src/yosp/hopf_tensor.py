@@ -8,11 +8,10 @@ only sign involved and it is validated by the RTT verifier on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
-from .exact_arith import HALF, ONE, RatFunc, UniPoly, rat
-from ._linalg import transpose, zeros
-from .super_linalg import GradedSpace, OperatorPoly, bar, iprime, theta
+from .exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
+from ._linalg import zeros
+from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
 
@@ -78,7 +77,7 @@ def tensor_modules(a: ModuleRep, b: ModuleRep) -> ModuleRep:
                 op_b = (bar(k) + bar(j)) % 2
                 for p in range(A.degree + 1):
                     Ap = A.coeff(p)
-                    if all(x == 0 for row in Ap for x in row):
+                    if not any(any(row) for row in Ap):
                         continue
                     for q in range(B.degree + 1):
                         Bq = B.coeff(q)
@@ -89,17 +88,21 @@ def tensor_modules(a: ModuleRep, b: ModuleRep) -> ModuleRep:
 
 
 def _kron_accumulate(out, A, B, op_parity_b, source_parity_a):
+    """out += A (x) B with the Koszul sign of B passing A's source vector:
+    entry ((i,k),(j,l)) gains A[i][j] B[k][l] (-1)^{op_parity_b parity(e_j)}."""
     nb, mb = len(B), len(B[0])
+    b_nonzeros = [(k, l, y) for k, rowb in enumerate(B)
+                  for l, y in enumerate(rowb) if y is not ZERO and y]
     for i, rowa in enumerate(A):
         for j, x in enumerate(rowa):
-            if x == 0:
+            if x is ZERO or not x:
                 continue
             coef = -x if (op_parity_b and source_parity_a[j]) else x
-            for k, rowb in enumerate(B):
+            for k, l, y in b_nonzeros:
                 orow = out[i * nb + k]
-                for l, y in enumerate(rowb):
-                    if y != 0:
-                        orow[j * mb + l] += coef * y
+                p = coef * y
+                v = orow[j * mb + l]
+                orow[j * mb + l] = v + p if v else p
     return out
 
 
@@ -141,11 +144,11 @@ def dual_module(m: ModuleRep) -> ModuleRep:
                 # omega reverses products only up to Koszul signs, so the
                 # transposed action of an odd series needs a row-parity sign
                 op = OperatorPoly(
-                    [[[-x if par[a] else x for x in row]
+                    [[[x if x is ZERO else -x for x in row] if par[a] else row
                       for a, row in enumerate(M)] for M in op.coeffs],
                     op.op_parity)
             s = sign * theta(i) * theta(j)
-            T[i - 1][j - 1] = op.scale(s).trim()
+            T[i - 1][j - 1] = (op if s == 1 else op.scale(s)).trim()
     factors = [Factor(-f.beta, -f.alpha, None) for f in m.factors]
     out = ModuleRep(m.space, denom, T, RatFunc.const(1), m.highest_index, factors)
     out.c = central_from_hw(highest_weight_of(out))

@@ -16,10 +16,10 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
-                          rat, rat_str)
-from ._linalg import eye, mat_eq, mat_mul, mat_sub, zeros
-from .super_linalg import GradedSpace, OperatorPoly, bar
+from .exact_arith import (DegreeError, HALF, KAPPA, ONE, RatFunc, Scalar,
+                          UniPoly, ZERO, rat, rat_str)
+from ._linalg import zeros
+from .super_linalg import GradedSpace, OperatorPoly, bar, iprime, theta
 
 W_SHIFT = (None, 1, 0, -1)  # weight carried by row/column index i of T
 
@@ -108,8 +108,8 @@ class ModuleRep:
                 for M in self.op(i, j).coeffs:
                     for a, row in enumerate(M):
                         for b, x in enumerate(row):
-                            if x != 0 and wt[a] - wt[b] != shift and not (
-                                    i == j and a == b):
+                            if (x is not ZERO and x and wt[a] - wt[b] != shift
+                                    and not (i == j and a == b)):
                                 bad.append((i, j, a, b))
         return bad
 
@@ -212,6 +212,12 @@ def build_small_verma(alpha, beta, depth: int) -> ModuleRep:
     """Truncated small Verma module: basis {xi_rs : 0 <= r <= s, r+s <= depth}."""
     alpha, beta = rat(alpha), rat(beta)
     pairs = [(r, s) for s in range(depth + 1) for r in range(min(s, depth - s) + 1)]
+    return _corner_module(alpha, beta, pairs, depth)
+
+
+def _corner_module(alpha, beta, pairs, depth: Optional[int]) -> ModuleRep:
+    """The quotient of M(alpha,beta) on span{xi_rs : (r,s) in pairs}: the
+    closed-form corner T_11, T_12, T_21, then the rest by reconstruction."""
     space = _xi_space(alpha, beta, pairs)
     T11, T21, T12 = _build_corner(alpha, beta, space)
     stub = [[T11, T12, None], [T21, None, None], [None, None, None]]
@@ -235,13 +241,7 @@ def build_elementary(alpha, beta, depth: Optional[int] = None) -> ModuleRep:
     if k >= 0 and k == int(k):
         k = int(k)
         pairs = [(r, s) for s in range(k + 1) for r in range(s + 1)]
-        space = _xi_space(alpha, beta, pairs)
-        T11, T21, T12 = _build_corner(alpha, beta, space)
-        stub = [[T11, T12, None], [T21, None, None], [None, None, None]]
-        m = ModuleRep(space, small_verma_denominator(alpha, beta),
-                      stub, central_ratfunc(alpha, beta), 0,
-                      [Factor(alpha, beta, None)])
-        return reconstruct_full_T(m)
+        return _corner_module(alpha, beta, pairs, None)
     kk = k + HALF
     if kk >= 0 and kk == int(kk):
         if depth is None:
@@ -250,13 +250,7 @@ def build_elementary(alpha, beta, depth: Optional[int] = None) -> ModuleRep:
         kk = int(kk)
         pairs = [(r, s) for s in range(depth + 1)
                  for r in range(min(s, depth - s, kk) + 1)]
-        space = _xi_space(alpha, beta, pairs)
-        T11, T21, T12 = _build_corner(alpha, beta, space)
-        stub = [[T11, T12, None], [T21, None, None], [None, None, None]]
-        m = ModuleRep(space, small_verma_denominator(alpha, beta),
-                      stub, central_ratfunc(alpha, beta), 0,
-                      [Factor(alpha, beta, depth)])
-        return reconstruct_full_T(m)
+        return _corner_module(alpha, beta, pairs, depth)
     if depth is None:
         raise MissingDepth("generic parameters give an infinite-dimensional "
                            "module; supply a truncation depth")
@@ -270,7 +264,6 @@ def vector_representation() -> ModuleRep:
             - (u+kappa)^{-1} e_{j'i'} (-1)^{bar i bar j} theta_i theta_j,
     cleared against d(u) = u(u+kappa) = u(u-3/2).
     """
-    from .super_linalg import iprime, theta
     space = GradedSpace(3, (1, 0, 1), (rat(1), rat(0), rat(-1)),
                         (((0, 0),), ((0, 1),), ((1, 1),)))
     d = UniPoly([ZERO, KAPPA, ONE])  # u^2 + kappa u = u(u - 3/2)
@@ -295,7 +288,6 @@ def vector_representation() -> ModuleRep:
 
 def apply_twist(m: ModuleRep, f: Optional[RatFunc] = None, a=None) -> ModuleRep:
     """Twist by a multiplier series f(u) with f(inf)=1, or shift u -> u+a."""
-    from .exact_arith import DegreeError
     if f is not None:
         if f.num.degree != f.den.degree or f.num.leading() != 1:
             raise DegreeError("multiplier twist needs f(infinity) = 1")
@@ -314,9 +306,19 @@ def apply_twist(m: ModuleRep, f: Optional[RatFunc] = None, a=None) -> ModuleRep:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+MODULE_FORMAT = 2
+
+
+class ModuleFormatError(ValueError):
+    """A module file that is not a well-formed format-2 module."""
+
+
 def to_json_dict(m: ModuleRep) -> dict:
+    """Format 2: the u^0..u^D coefficients of each T_ij, each as the
+    row-major list [[row, col, "p/q"], ...] of its nonzero entries."""
     D = m.denom.degree
-    out = {
+    return {
+        "format": MODULE_FORMAT,
         "params": [[rat_str(a), rat_str(b)] for a, b in m.params],
         "depth": m.depth,
         "denom": [rat_str(c) for c in m.denom.coeffs],
@@ -326,21 +328,38 @@ def to_json_dict(m: ModuleRep) -> dict:
              "weight": rat_str(m.space.weight[i])}
             for i in range(m.dim)
         ],
-        "T": {
-            f"{i}{j}": [[rat_str(x) for row in m.op(i, j).coeff(k) for x in row]
-                        for k in range(D + 1)]
-            for i in range(1, 4) for j in range(1, 4)
-        },
+        "T": {f"{i}{j}": [[[a, b, rat_str(x)]
+                            for a, row in enumerate(m.op(i, j).coeff(k))
+                            for b, x in enumerate(row) if x is not ZERO and x]
+                           for k in range(D + 1)]
+              for i in range(1, 4) for j in range(1, 4)},
         "c": {"num": [rat_str(c) for c in m.c.num.coeffs],
               "den": [rat_str(c) for c in m.c.den.coeffs]},
         "highest_index": m.highest_index,
     }
-    return out
 
 
 def from_json_dict(d: dict) -> ModuleRep:
+    fmt = d.get("format") if isinstance(d, dict) else None
+    if fmt != MODULE_FORMAT:
+        raise ModuleFormatError(
+            f"module file has format {fmt!r}, not {MODULE_FORMAT}; "
+            "rebuild the module with this version of yosp")
+    try:
+        return _read_module(d)
+    except KeyError as exc:
+        raise ModuleFormatError(f"module file lacks the key {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ModuleFormatError("module file holds a rational p/0") from exc
+    except (TypeError, ValueError) as exc:  # ModuleFormatError included
+        raise ModuleFormatError(f"malformed module file: {exc}") from exc
+
+
+def _read_module(d: dict) -> ModuleRep:
     params = [(rat(a), rat(b)) for a, b in d["params"]]
     depth = d["depth"]
+    if depth is not None and not (type(depth) is int and depth >= 0):
+        raise ModuleFormatError(f"depth {depth!r} is not a natural number")
     basis = d["basis"]
     n = len(basis)
     space = GradedSpace(
@@ -350,27 +369,40 @@ def from_json_dict(d: dict) -> ModuleRep:
         tuple(tuple((int(r), int(s)) for r, s in b["labels"]) for b in basis),
     )
     denom = UniPoly([rat(c) for c in d["denom"]])
+    parsed = {}
     T = [[None] * 3 for _ in range(3)]
     for i in range(1, 4):
         for j in range(1, 4):
-            mats = []
-            for flat in d["T"][f"{i}{j}"]:
-                vals = [rat(x) for x in flat]
-                mats.append([vals[r * n:(r + 1) * n] for r in range(n)])
+            sparse = d["T"][f"{i}{j}"]
+            if not 0 < len(sparse) <= denom.degree + 1:
+                raise ModuleFormatError(f"T_{i}{j} has {len(sparse)} "
+                                        f"coefficients; deg d = {denom.degree}")
+            mats = [zeros(n) for _ in sparse]
+            for M, triples in zip(mats, sparse):
+                for a, b, x in triples:
+                    if not (a in range(n) and b in range(n)):
+                        raise ModuleFormatError(
+                            f"T_{i}{j} entry ({a}, {b}) outside dimension {n}")
+                    if x not in parsed:
+                        parsed[x] = rat(x)
+                    M[a][b] = parsed[x]
             T[i - 1][j - 1] = OperatorPoly(mats, (bar(i) + bar(j)) % 2).trim()
     c = RatFunc(UniPoly([rat(x) for x in d["c"]["num"]]),
                 UniPoly([rat(x) for x in d["c"]["den"]]))
+    highest = d["highest_index"]
+    if highest not in range(n):
+        raise ModuleFormatError(f"highest_index {highest!r} outside dimension {n}")
     factors = []
     for a, b in params:
         exact = b - a >= 0 and b - a == int(b - a)
         factors.append(Factor(a, b, None if exact else depth))
-    return ModuleRep(space, denom, T, c, int(d["highest_index"]), factors)
+    return ModuleRep(space, denom, T, c, highest, factors)
 
 
 def save_module(m: ModuleRep, path: str):
+    text = json.dumps(to_json_dict(m))
     with open(path, "w") as fh:
-        json.dump(to_json_dict(m), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_module(path: str) -> ModuleRep:

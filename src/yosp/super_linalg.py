@@ -3,20 +3,20 @@
 Basis indices run over 1, 2, 3 with parities bar(1)=bar(3)=1, bar(2)=0
 (the middle vector is even), signs theta = (1, 1, -1), and the index
 involution i -> i' = 4 - i.  All operators are stored as plain rational
-matrices; the Koszul signs live in super_kron and in the two-leg encodings
-of P, Q and R(u), so there is exactly one place where sign conventions can
-go wrong and the RTT verifier will catch it there.
+matrices; the Koszul signs live in the tensor product's Kronecker step
+(hopf_tensor) and in the two-leg encodings of P, Q and R(u), so there is
+exactly one place where sign conventions can go wrong and the RTT verifier
+will catch it there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
-from .exact_arith import KAPPA, ONE, Scalar, UniPoly, ZERO, rat
-from ._linalg import (eye, mat_add, mat_mul, mat_neg, mat_scale, mat_sub,
-                      transpose, zeros)
+from .exact_arith import KAPPA, Scalar, UniPoly, ZERO, rat
+from ._linalg import eye, mat_add, mat_mul, mat_scale, mat_sub, transpose, zeros
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
 THETA = (None, 1, 1, -1)
@@ -66,66 +66,6 @@ class GradedSpace:
 
     def top_weight(self) -> Scalar:
         return max(self.weight)
-
-
-@dataclass
-class GradedMatrix:
-    """A homogeneous operator: dense entries plus the operator's parity bit."""
-
-    entries: List[List[Scalar]]
-    op_parity: int
-    target: GradedSpace
-    source: GradedSpace
-
-    def parity_ok(self) -> bool:
-        for a, row in enumerate(self.entries):
-            for b, x in enumerate(row):
-                if x != 0 and (self.target.parity[a] - self.source.parity[b]
-                               - self.op_parity) % 2:
-                    return False
-        return True
-
-
-def super_kron_raw(A, B, op_parity_b: int, source_parity_a: Sequence[int]):
-    """Kronecker product of plain matrices with the Koszul sign.
-
-    Entry ((i,k),(j,l)) = A[i][j] * B[k][l] * (-1)^{op_parity_b * parity(e_j)}:
-    the second factor picks up a sign passing the first factor's source vector.
-    """
-    na, ma = len(A), len(A[0])
-    nb, mb = len(B), len(B[0])
-    out = zeros(na * nb, ma * mb)
-    for i in range(na):
-        for j in range(ma):
-            a = A[i][j]
-            if a == 0:
-                continue
-            sgn = -ONE if (op_parity_b and source_parity_a[j]) else ONE
-            coef = a * sgn
-            for k in range(nb):
-                Brow = B[k]
-                orow = out[i * nb + k]
-                for l in range(mb):
-                    if Brow[l] != 0:
-                        orow[j * mb + l] = coef * Brow[l]
-    return out
-
-
-def super_kron(A: GradedMatrix, B: GradedMatrix) -> GradedMatrix:
-    ent = super_kron_raw(A.entries, B.entries, B.op_parity, A.source.parity)
-    return GradedMatrix(ent, (A.op_parity + B.op_parity) % 2,
-                        A.target.tensor(B.target), A.source.tensor(B.source))
-
-
-def sbracket_mats(A, B, pa: int, pb: int):
-    """AB - (-1)^{pa pb} BA on plain matrices (anticommutator when both odd)."""
-    BA = mat_mul(B, A)
-    return mat_add(mat_mul(A, B), BA) if (pa and pb) else mat_sub(mat_mul(A, B), BA)
-
-
-def super_bracket(A: GradedMatrix, B: GradedMatrix) -> GradedMatrix:
-    ent = sbracket_mats(A.entries, B.entries, A.op_parity, B.op_parity)
-    return GradedMatrix(ent, (A.op_parity + B.op_parity) % 2, A.target, A.source)
 
 
 def super_transpose(A):
@@ -228,14 +168,22 @@ def ybe_holds_at(u, v) -> bool:
     return lhs == rhs
 
 
+def _row_nonzeros(M):
+    """Per row, the (column, entry) pairs of the nonzero entries; testing
+    `x is ZERO` first skips the shared zero without a Scalar method call."""
+    return [[(b, x) for b, x in enumerate(row) if x is not ZERO and x]
+            for row in M]
+
+
 class OperatorPoly:
     """Operator-valued polynomial in u: a list of plain matrix coefficients
-    (ascending powers) sharing one operator parity."""
+    (ascending powers) sharing one operator parity.  Entries are Scalars;
+    the algebra below touches only the nonzero ones."""
 
     __slots__ = ("coeffs", "op_parity")
 
     def __init__(self, coeffs, op_parity: int):
-        self.coeffs = [[[rat(x) for x in row] for row in M] for M in coeffs]
+        self.coeffs = [[list(row) for row in M] for M in coeffs]
         self.op_parity = op_parity % 2
 
     @property
@@ -256,64 +204,80 @@ class OperatorPoly:
             acc = mat_add(mat_scale(acc, u0), M)
         return acc
 
+    def _combine(self, n: int, terms):
+        """The n coefficients out[k] = sum of c * M over the terms
+        (M, [(k, c), ...]), visiting only the nonzero entries of each M."""
+        out = [zeros(self.dim) for _ in range(n)]
+        for M, targets in terms:
+            targets = [(out[k], 1 if c == 1 else -1 if c == -1 else 0, c)
+                       for k, c in targets if c]
+            for a, row in enumerate(_row_nonzeros(M)):
+                for b, x in row:
+                    for O, s, c in targets:
+                        y = x if s == 1 else -x if s == -1 else c * x
+                        v = O[a][b]
+                        O[a][b] = v + y if v else y
+        return OperatorPoly(out, self.op_parity)
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        d = self.dim
-        return OperatorPoly([mat_add(self.coeff(k), other.coeff(k)) for k in range(n)],
-                            self.op_parity)
+        return self._combine(max(len(self.coeffs), len(other.coeffs)),
+                             [(M, [(k, 1)]) for k, M in enumerate(self.coeffs)]
+                             + [(M, [(k, 1)]) for k, M in enumerate(other.coeffs)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return OperatorPoly([mat_neg(M) for M in self.coeffs], self.op_parity)
+        return self.scale(-1)
 
     def scale(self, c):
-        return OperatorPoly([mat_scale(M, c) for M in self.coeffs], self.op_parity)
+        c = rat(c)
+        return self._combine(len(self.coeffs),
+                             [(M, [(k, c)]) for k, M in enumerate(self.coeffs)])
 
     def mul_poly(self, p: UniPoly):
-        out = [zeros(self.dim) for _ in range(len(self.coeffs) + p.degree)]
-        for k, M in enumerate(self.coeffs):
-            for l, c in enumerate(p.coeffs):
-                if c != 0:
-                    out[k + l] = mat_add(out[k + l], mat_scale(M, c))
-        return OperatorPoly(out, self.op_parity)
+        return self._combine(len(self.coeffs) + p.degree,
+                             [(M, [(k + l, c) for l, c in enumerate(p.coeffs)])
+                              for k, M in enumerate(self.coeffs)])
+
+    def _substitute(self, s: int, a):
+        """u -> s u + a: u^m becomes sum_k C(m,k) s^k a^(m-k) u^k."""
+        a = rat(a)
+        return self._combine(len(self.coeffs), [
+            (M, [(k, comb(m, k) * s ** k * a ** (m - k)) for k in range(m + 1)])
+            for m, M in enumerate(self.coeffs)])
 
     def shift(self, a):
         """Substitute u -> u + a."""
-        a = rat(a)
-        n = len(self.coeffs)
-        out = [zeros(self.dim) for _ in range(n)]
-        for m, M in enumerate(self.coeffs):
-            for k in range(m + 1):
-                c = comb(m, k) * a ** (m - k)
-                if c != 0:
-                    out[k] = mat_add(out[k], mat_scale(M, c))
-        return OperatorPoly(out, self.op_parity)
+        return self._substitute(1, a)
 
     def reflect(self, c0):
         """Substitute u -> c0 - u."""
-        c0 = rat(c0)
-        n = len(self.coeffs)
-        out = [zeros(self.dim) for _ in range(n)]
-        for m, M in enumerate(self.coeffs):
-            for k in range(m + 1):
-                c = comb(m, k) * c0 ** (m - k) * (-1) ** k
-                if c != 0:
-                    out[k] = mat_add(out[k], mat_scale(M, c))
-        return OperatorPoly(out, self.op_parity)
+        return self._substitute(-1, c0)
 
     def bracket_const(self, M, m_parity: int):
-        """[self(u), M] coefficientwise (super-bracket)."""
-        return OperatorPoly([sbracket_mats(C, M, self.op_parity, m_parity)
-                             for C in self.coeffs], (self.op_parity + m_parity) % 2)
+        """[self(u), M] = C M - (-1)^{|C||M|} M C for each coefficient C
+        (super-bracket), both products formed from nonzero rows only."""
+        sign = 1 if (self.op_parity and m_parity) else -1
+        M_rows = _row_nonzeros(M)
+        out = [[[ZERO] * len(M) for _ in M] for _ in self.coeffs]
+        for R, C in zip(out, self.coeffs):
+            C_rows = _row_nonzeros(C)
+            for left, right, s in ((C_rows, M_rows, 1), (M_rows, C_rows, sign)):
+                for a, row in enumerate(left):
+                    for j, x in row:
+                        for b, y in right[j]:
+                            p = x * y if s == 1 else -(x * y)
+                            v = R[a][b]
+                            R[a][b] = v + p if v else p
+        return OperatorPoly(out, (self.op_parity + m_parity) % 2)
 
     def transpose_mats(self):
         return OperatorPoly([transpose(M) for M in self.coeffs], self.op_parity)
 
     def trim(self):
         cs = list(self.coeffs)
-        while len(cs) > 1 and all(x == 0 for row in cs[-1] for x in row):
+        while len(cs) > 1 and not any(any(row) for row in cs[-1]):
             cs.pop()
         return OperatorPoly(cs, self.op_parity)
 

@@ -103,3 +103,94 @@ def test_verify_with_no_checked_column_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "pass" not in captured.out
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["small-verma", "--alpha=1/0", "--beta", "0", "--depth", "4"],
+    ["small-verma", "--alpha=abc", "--beta", "0", "--depth", "4"],
+    ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "-1"],
+    ["elementary", "--alpha=-1", "--beta=2/0"],
+], ids=["alpha-1/0", "alpha-abc", "depth-negative", "elementary-beta-2/0"])
+def test_malformed_flag_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert "not a" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def _format_1(d):
+    """The dense layout files had before format 2: no format key, every
+    entry of every coefficient of T_ij as a flat row-major list."""
+    n = len(d["basis"])
+    d = {k: v for k, v in d.items() if k != "format"}
+    flat = {}
+    for key, coeffs in d["T"].items():
+        flat[key] = []
+        for triples in coeffs:
+            vals = ["0"] * (n * n)
+            for a, b, x in triples:
+                vals[a * n + b] = x
+            flat[key].append(vals)
+    d["T"] = flat
+    return d
+
+
+def _drop(key):
+    def corrupt(d):
+        del d[key]
+        return d
+    return corrupt
+
+
+def _set_format(value):
+    def corrupt(d):
+        d["format"] = value
+        return d
+    return corrupt
+
+
+def _delete_basis_entry(d):
+    del d["basis"][-1]
+    return d
+
+
+def _index_out_of_range(d):
+    d["T"]["21"][0].append([0, len(d["basis"]), "1"])
+    return d
+
+
+def _not_rational(d):
+    d["T"]["11"][-1][0][2] = "1/0"
+    return d
+
+
+def _extra_coefficient(d):
+    d["T"]["11"].append([])
+    return d
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: {}, "rebuild"),
+    (_drop("format"), "rebuild"),
+    (_format_1, "rebuild"),
+    (_set_format(3), "rebuild"),
+    (_drop("denom"), "'denom'"),
+    (_delete_basis_entry, "outside dimension 2"),
+    (_index_out_of_range, "outside dimension 3"),
+    (_not_rational, "p/0"),
+    (_extra_coefficient, "coefficients"),
+], ids=["empty-object", "no-format", "format-1", "unknown-format",
+        "missing-key", "deleted-basis-entry", "index-out-of-range",
+        "not-rational", "extra-coefficient"])
+def test_malformed_module_file_is_a_usage_error(tmp_path, capsys, corrupt,
+                                                message):
+    mod = tmp_path / "m.json"
+    assert main(["elementary", "--alpha", "-1", "--beta", "0",
+                 "--out", str(mod)]) == 0
+    mod.write_text(json.dumps(corrupt(json.loads(mod.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", "rtt", str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out and "FAIL" not in captured.out
+    assert message in captured.err

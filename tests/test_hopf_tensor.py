@@ -2,11 +2,16 @@
 
 import pytest
 
-from yosp.exact_arith import HALF, RatFunc, UniPoly, rat
-from yosp.rep_core import build_elementary, build_small_verma
+from yosp import analysis as an
+from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
+from yosp._linalg import zeros
+from yosp.rep_core import (apply_twist, build_elementary, build_small_verma,
+                           load_module, save_module)
 from yosp.hopf_tensor import (DepthMismatch, HighestWeight, InfiniteDual,
-                              NoHighestVector, central_from_hw, dual_module,
-                              elementary_hw, highest_weight_of, tensor_modules)
+                              NoHighestVector, _kron_accumulate,
+                              central_from_hw, dual_module, elementary_hw,
+                              highest_weight_of, tensor_modules)
+from yosp.super_linalg import bar, iprime, theta
 
 
 def test_elementary_hw_formula():
@@ -123,3 +128,104 @@ def test_dual_of_tensor_factors():
         elementary_hw(rat(3, 2), rat(5, 2)))
     got = highest_weight_of(d)
     assert got.l1 == want.l1 and got.l2 == want.l2 and got.l3 == want.l3
+
+
+def test_kron_accumulate_koszul_sign():
+    """Odd (x) odd acquires a sign on the odd source column of the first leg."""
+    X = [[ZERO, ONE], [ONE, ZERO]]
+    K = _kron_accumulate(zeros(4), X, X, 1, (0, 1))
+    # columns whose first slot is the odd vector pick up the sign
+    assert K[1][2] == -1
+    assert K[0][3] == -1
+    assert K[2][1] == 1
+    assert K[3][0] == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: tensor_modules against a dense Kronecker oracle, and the
+# verifiers on modules built by dual_module and apply_twist.
+# ---------------------------------------------------------------------------
+
+def oracle_tensor_coeffs(a, b, i, j):
+    """Coefficients of T_ij(u) on a (x) b = sum_k T_ik (x) T_kj, where entry
+    ((r,t),(c,w)) of A (x) B is A[r][c] B[t][w] (-1)^{|B| parity(e_c)}; every
+    entry of B is visited and products are summed in place."""
+    nb = b.dim
+    coeffs = [zeros(a.dim * nb)
+              for _ in range(a.denom.degree + b.denom.degree + 1)]
+    for k in range(1, 4):
+        odd_b = (bar(k) + bar(j)) % 2
+        for p, Ap in enumerate(a.op(i, k).coeffs):
+            for q, Bq in enumerate(b.op(k, j).coeffs):
+                out = coeffs[p + q]
+                for r, rowa in enumerate(Ap):
+                    for c, x in enumerate(rowa):
+                        if x == 0:
+                            continue
+                        sgn = -1 if (odd_b and a.space.parity[c]) else 1
+                        for t, rowb in enumerate(Bq):
+                            for w, y in enumerate(rowb):
+                                out[r * nb + t][c * nb + w] += sgn * x * y
+    return coeffs
+
+
+@pytest.mark.parametrize("a, b", [
+    (lambda: build_elementary(-1, 0), lambda: build_elementary(-2, 0)),
+    (lambda: build_small_verma(rat(-1, 3), 0, 4),
+     lambda: build_small_verma(rat(-2, 5), 0, 4)),
+], ids=["L(-1,0)xL(-2,0)", "M(-1/3,0)@4xM(-2/5,0)@4"])
+def test_tensor_matches_dense_kron_oracle(a, b):
+    a, b = a(), b()
+    tp = tensor_modules(a, b)
+    for i in range(1, 4):
+        for j in range(1, 4):
+            want = oracle_tensor_coeffs(a, b, i, j)
+            got = tp.op(i, j)
+            assert got.op_parity == (bar(i) + bar(j)) % 2
+            assert [got.coeff(k) for k in range(len(want))] == want
+
+
+def _l2_l1():
+    return tensor_modules(build_elementary(-2, 0), build_elementary(-1, 0))
+
+
+def test_dual_is_the_signed_transpose_of_the_reflected_action():
+    """T*_ij(u) = s theta_i theta_j P T_{i'j'}(1/2 - u)^t, where s = (-1)^{deg d}
+    and P negates the odd rows when T_ij is odd, checked at sample points."""
+    m = _l2_l1()
+    d = dual_module(m)
+    s = (-1) ** m.denom.degree
+    for i in range(1, 4):
+        for j in range(1, 4):
+            odd = (bar(i) + bar(j)) % 2
+            for u0 in (rat(2), rat(-7, 3)):
+                A = m.op(iprime(i), iprime(j)).eval(HALF - u0)
+                want = [[s * theta(i) * theta(j) * A[b][a]
+                         * (-1 if odd and m.space.parity[a] else 1)
+                         for b in range(m.dim)] for a in range(m.dim)]
+                assert d.op(i, j).eval(u0) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dual_module(_l2_l1()),
+    lambda: apply_twist(_l2_l1(), a=rat(-3, 2)),
+], ids=["dual", "shift-twist"])
+def test_verifiers_pass_on_derived_modules(build):
+    m = build()
+    assert an.verify_rtt(m)["result"] == "pass"
+    assert an.verify_central(m)["result"] == "pass"
+
+
+def test_truncated_tensor_file_round_trip(tmp_path):
+    tp = tensor_modules(build_small_verma(rat(-1, 3), 0, 4),
+                        build_small_verma(rat(-2, 5), 0, 4))
+    p1, p2 = tmp_path / "t.json", tmp_path / "t2.json"
+    save_module(tp, p1)
+    back = load_module(p1)
+    save_module(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert back.depth == 4 and back.dim == tp.dim
+    for i in range(1, 4):
+        for j in range(1, 4):
+            assert back.op(i, j).coeffs == tp.op(i, j).coeffs
+            assert back.op(i, j).op_parity == tp.op(i, j).op_parity

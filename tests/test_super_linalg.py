@@ -1,12 +1,14 @@
 """Tests for the graded linear algebra and R-matrix layer."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yosp.exact_arith import KAPPA, ONE, UniPoly, ZERO, rat
-from yosp._linalg import eye, mat_eq, mat_mul, mat_scale, zeros
-from yosp.super_linalg import (GradedMatrix, GradedSpace, OperatorPoly, bar,
-                               build_P_Q_R, iprime, rc_eval, super_bracket,
-                               super_kron, super_transpose, theta,
+from yosp._linalg import eye, mat_add, mat_eq, mat_mul, mat_scale, zeros
+from yosp.super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R,
+                               iprime, rc_eval, super_transpose, theta,
                                ybe_holds_at)
 
 P, Q, RC = build_P_Q_R()
@@ -69,26 +71,6 @@ def test_graded_space_tensor():
     assert t.weight_spaces()[rat(1)] == [1, 2]
 
 
-def test_super_kron_koszul_sign():
-    """Odd (x) odd acquires a sign on the odd source column of the first leg."""
-    s = _space2()
-    X = GradedMatrix([[ZERO, ONE], [ONE, ZERO]], 1, s, s)
-    K = super_kron(X, X)
-    # columns whose first slot is the odd vector pick up the sign
-    assert K.entries[1][2] == -1
-    assert K.entries[0][3] == -1
-    assert K.entries[2][1] == 1
-    assert K.entries[3][0] == 1
-
-
-def test_super_bracket_odd_odd_is_anticommutator():
-    s = _space2()
-    X = GradedMatrix([[ZERO, ONE], [ZERO, ZERO]], 1, s, s)
-    Y = GradedMatrix([[ZERO, ZERO], [ONE, ZERO]], 1, s, s)
-    B = super_bracket(X, Y)
-    assert B.entries[0][0] == 1 and B.entries[1][1] == 1
-
-
 def _op(coeffs, parity=0):
     return OperatorPoly(coeffs, parity)
 
@@ -124,9 +106,130 @@ def test_operator_poly_bracket_const():
     assert B.eval(rat(0)) == [[ONE, ZERO], [ZERO, -ONE]]
 
 
+def test_bracket_const_odd_odd_is_anticommutator():
+    X = _op([[[ZERO, ONE], [ZERO, ZERO]]], parity=1)
+    Y = [[ZERO, ZERO], [ONE, ZERO]]
+    B = X.bracket_const(Y, 1)
+    assert B.op_parity == 0
+    assert B.coeffs[0][0][0] == 1 and B.coeffs[0][1][1] == 1
+
+
 def test_operator_poly_parity_violations():
     s = _space2()
     odd_op = _op([[[ZERO, ONE], [ZERO, ZERO]]], parity=1)
     assert odd_op.parity_violations(s) == []
     even_op = _op([[[ZERO, ONE], [ZERO, ZERO]]], parity=0)
     assert even_op.parity_violations(s) != []
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the sparse operator algebra against a dense oracle, the
+# direct formulas on mat_add / mat_scale / mat_mul that visit every entry.
+# ---------------------------------------------------------------------------
+
+def _dense_sum(n, dim, terms):
+    out = [zeros(dim) for _ in range(n)]
+    for M, k, c in terms:
+        out[k] = mat_add(out[k], mat_scale(M, c))
+    return out
+
+
+def oracle_add(A, B, s=1):
+    n = max(len(A.coeffs), len(B.coeffs))
+    return [mat_add(A.coeff(k), mat_scale(B.coeff(k), s)) for k in range(n)]
+
+
+def oracle_scale(A, c):
+    return [mat_scale(M, c) for M in A.coeffs]
+
+
+def oracle_mul_poly(A, p):
+    return _dense_sum(len(A.coeffs) + p.degree, A.dim,
+                      [(M, k + l, c) for k, M in enumerate(A.coeffs)
+                       for l, c in enumerate(p.coeffs)])
+
+
+def oracle_shift(A, a):
+    return _dense_sum(len(A.coeffs), A.dim,
+                      [(M, k, comb(m, k) * a ** (m - k))
+                       for m, M in enumerate(A.coeffs) for k in range(m + 1)])
+
+
+def oracle_reflect(A, c0):
+    return _dense_sum(len(A.coeffs), A.dim,
+                      [(M, k, comb(m, k) * c0 ** (m - k) * (-1) ** k)
+                       for m, M in enumerate(A.coeffs) for k in range(m + 1)])
+
+
+def oracle_bracket(A, M, m_parity):
+    s = -1 if (A.op_parity and m_parity) else 1
+    return [mat_add(mat_mul(C, M), mat_scale(mat_mul(M, C), -s))
+            for C in A.coeffs]
+
+
+def oracle_trim(A):
+    cs = list(A.coeffs)
+    while len(cs) > 1 and all(x == 0 for row in cs[-1] for x in row):
+        cs.pop()
+    return cs
+
+
+_scalars = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def sparse_matrix(draw, dim):
+    """A dim x dim matrix with at most a fifth of its entries nonzero."""
+    M = zeros(dim)
+    cells = draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                    st.integers(0, dim - 1)),
+                          max_size=dim * dim // 5))
+    for a, b in cells:
+        M[a][b] = draw(_scalars)
+    return M
+
+
+@st.composite
+def sparse_ops(draw, count=2):
+    dim = draw(st.integers(1, 7))
+    ops = []
+    for _ in range(count):
+        degree = draw(st.integers(0, 3))
+        ops.append(OperatorPoly([draw(sparse_matrix(dim))
+                                 for _ in range(degree + 1)],
+                                draw(st.integers(0, 1))))
+    return dim, ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_ops(), _scalars)
+def test_linear_algebra_matches_dense_oracle(dim_ops, c):
+    _, (A, B) = dim_ops
+    assert (A + B).coeffs == oracle_add(A, B)
+    assert (A - B).coeffs == oracle_add(A, B, -1)
+    assert (-A).coeffs == oracle_scale(A, -1)
+    assert A.scale(c).coeffs == oracle_scale(A, c)
+    assert A.scale(0).coeffs == oracle_scale(A, 0)
+    assert A.trim().coeffs == oracle_trim(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_ops(count=1), st.lists(_scalars, min_size=1, max_size=3),
+       _scalars)
+def test_substitutions_match_dense_oracle(dim_ops, p, a):
+    _, (A,) = dim_ops
+    p = UniPoly(p) if any(p) else UniPoly([ONE])
+    assert A.mul_poly(p).coeffs == oracle_mul_poly(A, p)
+    assert A.shift(a).coeffs == oracle_shift(A, a)
+    assert A.reflect(a).coeffs == oracle_reflect(A, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_const_matches_dense_oracle(data):
+    dim, (A,) = data.draw(sparse_ops(count=1))
+    M = data.draw(sparse_matrix(dim))
+    m_parity = data.draw(st.integers(0, 1))
+    B = A.bracket_const(M, m_parity)
+    assert B.coeffs == oracle_bracket(A, M, m_parity)
+    assert B.op_parity == (A.op_parity + m_parity) % 2
