@@ -1,7 +1,7 @@
 """yosp: exact computations with representations of the extended Yangian X(osp(1|2))."""
 
-from .exact_arith import (DegreeError, InconsistentSamples, PoleError, RatFunc,
-                          Scalar, TruncatedSeries, UniPoly, rat, rat_str)
+from .exact_arith import (DegreeError, PoleError, RatFunc, Scalar, UniPoly, rat,
+                          rat_str)
 from .super_linalg import GradedSpace, OperatorPoly
 from .rep_core import (Factor, MissingDepth, ModuleFormatError, ModuleRep,
                        ReconstructionInconsistent, apply_twist,

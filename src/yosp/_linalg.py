@@ -1,8 +1,9 @@
-"""Dense exact linear algebra over the rationals: products, rank, kernels, spans."""
+"""Exact linear algebra over the rationals: dense matrix products, and row
+reduction (rank, kernels, inverses, spans) through one sparse echelon Span."""
 
 from __future__ import annotations
 
-from .exact_arith import Scalar, ZERO, ONE, rat
+from .exact_arith import ZERO, ONE, rat
 
 
 class SingularMatrix(ArithmeticError):
@@ -51,11 +52,14 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
+    """A v over the nonzeros of v; `is ZERO` skips the shared zero cheaply."""
+    nz = [(j, x) for j, x in enumerate(v) if x is not ZERO and x]
     out = [ZERO] * len(A)
     for i, row in enumerate(A):
         acc = ZERO
-        for a, x in zip(row, v):
-            if a != 0 and x != 0:
+        for j, x in nz:
+            a = row[j]
+            if a is not ZERO and a:
                 acc += a * x
         out[i] = acc
     return out
@@ -70,29 +74,11 @@ def mat_eq(A, B):
 
 
 def rref(rows):
-    """Reduced row echelon form (on a copy); returns (rows, pivot column list)."""
-    R = [list(r) for r in rows]
-    if not R:
-        return R, []
-    m = len(R[0])
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = ONE / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return R[:r] + [[ZERO] * m] * (len(R) - r), pivots
+    """Reduced row echelon form: (its nonzero rows, their pivot columns)."""
+    span = Span(len(rows[0]) if rows else 0)
+    for r in rows:
+        span.add(r)
+    return span.basis(), span.pivots()
 
 
 def rank(rows) -> int:
@@ -127,42 +113,58 @@ def inverse(A):
     return [row[n:] for row in R[:n]]
 
 
+def _sub_multiple(r, f, row):
+    """r -= f * row on sparse {column: entry} dicts, dropping what cancels."""
+    for c, y in row.items():
+        x = r.get(c, ZERO) - f * y
+        if x:
+            r[c] = x
+        else:
+            del r[c]
+
+
 class Span:
-    """Incrementally built subspace with an echelonized basis."""
+    """A subspace with its unique reduced-row-echelon basis, built a vector
+    at a time: each row is a sparse {column: entry} dict, 1 at its pivot (its
+    first column) and with no entry at another row's pivot."""
 
     def __init__(self, dim: int):
         self.ambient_dim = dim
-        self._rows = {}  # pivot index -> reduced vector
+        self._rows = {}  # pivot column -> sparse row
 
-    def _reduce(self, v):
-        v = list(v)
-        for p, row in self._rows.items():
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+    def reduce(self, v):
+        """v modulo the span, as a sparse dict with no entry at a pivot."""
+        r = {c: x for c, x in enumerate(v) if x is not ZERO and x}
+        # Subtracting a row adds no entry at a pivot: only v's pivots matter.
+        for p in [c for c in r if c in self._rows]:
+            _sub_multiple(r, r[p], self._rows[p])
+        return r
 
     def add(self, v) -> bool:
         """Add a vector; True when it enlarged the span."""
-        v = self._reduce(v)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
+        r = self.reduce(v)
+        if not r:
             return False
-        inv = ONE / v[p]
-        v = [x * inv for x in v]
-        for q in self._rows:
-            if self._rows[q][p] != 0:
-                f = self._rows[q][p]
-                self._rows[q] = [x - f * y for x, y in zip(self._rows[q], v)]
-        self._rows[p] = v
+        p = min(r)
+        inv = ONE / r[p]
+        r = {c: x * inv for c, x in r.items()}
+        for row in self._rows.values():
+            if p in row:
+                _sub_multiple(row, row[p], r)
+        self._rows[p] = r
         return True
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not self.reduce(v)
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
+    def pivots(self):
+        return sorted(self._rows)
+
     def basis(self):
-        return [self._rows[p] for p in sorted(self._rows)]
+        """The rows, dense, in pivot order."""
+        return [[self._rows[p].get(c, ZERO) for c in range(self.ambient_dim)]
+                for p in self.pivots()]

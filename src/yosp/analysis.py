@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact_arith import (HALF, KAPPA, ONE, PoleError, RatFunc, Scalar,
                           UniPoly, ZERO, rat, rat_str)
 from ._linalg import (SingularMatrix, Span, eye, inverse, mat_eq, mat_mul,
-                      mat_scale, mat_sub, mat_vec, nullspace, rank)
-from .super_linalg import bar, build_P_Q_R, iprime, theta
+                      mat_scale, mat_sub, mat_vec, nullspace, rank, zeros)
+from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
+                           st_sign)
 from .rep_core import ModuleRep, to_json_dict
 from .hopf_tensor import HighestWeight
 
@@ -118,6 +119,13 @@ def _avoiding(start, bad, count, step=1):
             out.append(x)
         x = x + step
     return out
+
+
+# A truncated module is exact only away from its cut: the relation verifiers
+# compare columns RELATION_MARGIN levels below it, and singular vectors are
+# sought SINGULAR_MARGIN levels below it.
+RELATION_MARGIN = 4
+SINGULAR_MARGIN = 2
 
 
 def _interior_cols(m: ModuleRep, margin: int):
@@ -217,8 +225,7 @@ def _first_mismatch(lhs, rhs, cols):
     return t, cols[s]
 
 
-def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0,
-               margin: int = 4) -> dict:
+def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0) -> dict:
     """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on a sample grid.
 
     Both sides are polynomials of degree <= deg d + 2 in each variable after
@@ -237,7 +244,7 @@ def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0,
     droots = [-f.alpha + HALF for f in m.factors] + [-f.beta for f in m.factors]
     us = _avoiding(rat(base), droots, side)
     vs = _avoiding(rat(base) + rat(1, 3), droots, side)
-    cols = _checked_cols(m, margin)
+    cols = _checked_cols(m, RELATION_MARGIN)
     colpos = {c: k for k, c in enumerate(cols)}
     width = len(cols)
     E, _, ops = _int_module(m)
@@ -287,8 +294,7 @@ def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0,
             "backend": Scalar.__qualname__, "result": "pass"}
 
 
-def verify_central(m: ModuleRep, n_samples: int = 0, seed: int = 0,
-                   margin: int = 4) -> dict:
+def verify_central(m: ModuleRep, n_samples: int = 0, seed: int = 0) -> dict:
     """Certify T(u-kappa) T^t(u) = c(u) d(u-kappa) d(u) identity at samples.
 
     Raises RelationViolation with a witness on failure and TruncatedInput
@@ -304,13 +310,12 @@ def verify_central(m: ModuleRep, n_samples: int = 0, seed: int = 0,
             bad.extend([r, r + KAPPA])
     bad.extend(r for r, c in _poly_rational_roots(m.c.den)[0].items())
     us = _avoiding(rat(base) + rat(1, 7), bad, count)
-    cols = _checked_cols(m, margin)
+    cols = _checked_cols(m, RELATION_MARGIN)
     colpos = {c: k for k, c in enumerate(cols)}
     width = len(cols)
     E, L, ops = _int_module(m)
-    # (T^t)_kj = theta_k theta_j (-1)^{|k||j|+|j|} T_{j'k'}, 1-based.
-    st = [[theta(k) * theta(j) * (-1) ** (bar(k) * bar(j) + bar(j))
-           for j in range(1, 4)] for k in range(1, 4)]
+    # (T^t)_kj = st_sign(k, j) T_{j'k'}, 1-based.
+    st = [[st_sign(k, j) for j in range(1, 4)] for k in range(1, 4)]
     samples = []
     for u0 in us:
         x = u0 - KAPPA
@@ -416,10 +421,10 @@ def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
     return out
 
 
-def singular_vectors(m: ModuleRep, margin: int = 2) -> Subspace:
+def singular_vectors(m: ModuleRep) -> Subspace:
     """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by weight."""
     raising = _coeff_matrices(m, upper_only=True)
-    cols_ok = set(_interior_cols(m, margin))
+    cols_ok = set(_interior_cols(m, SINGULAR_MARGIN))
     basis = []
     by_weight = m.space.weight_spaces()
     for w in sorted(by_weight, reverse=True):
@@ -445,18 +450,17 @@ def singular_vectors(m: ModuleRep, margin: int = 2) -> Subspace:
 def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
     """Closure of span{v} under all coefficient matrices of all nine T_ij."""
     v = [rat(x) for x in v]
-    if all(x == 0 for x in v):
+    span = Span(m.dim)
+    if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
     mats = _coeff_matrices(m)
-    span = Span(m.dim)
-    span.add(v)
     frontier = [v]
     while frontier:
         nxt = []
         for x in frontier:
             for M in mats:
                 y = mat_vec(M, x)
-                if any(c != 0 for c in y) and span.add(y):
+                if span.add(y):
                     nxt.append(y)
         frontier = nxt
     return Subspace(m.space, span.basis())
@@ -464,7 +468,6 @@ def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
 
 def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     """Induced action on the complement of an invariant subspace."""
-    from .super_linalg import GradedSpace, OperatorPoly
     span = Span(m.dim)
     for b in k.basis:
         ws = {m.space.weight[i] for i, x in enumerate(b) if x != 0}
@@ -475,14 +478,9 @@ def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
         for b in k.basis:
             if not span.contains(mat_vec(M, b)):
                 raise NotInvariant("subspace is not stable under the action")
-    pivots = set(span._rows)
+    pivots = set(span.pivots())
     keep = [i for i in range(m.dim) if i not in pivots]
     pos = {i: a for a, i in enumerate(keep)}
-
-    def project(vec):
-        red = span._reduce(vec)
-        return [red[i] for i in keep]
-
     n = len(keep)
     T = [[None] * 3 for _ in range(3)]
     for i in range(3):
@@ -490,8 +488,12 @@ def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
             op = m.T[i][j]
             mats = []
             for M in op.coeffs:
-                cols = [project(mat_vec(M, _unit(m.dim, c))) for c in keep]
-                mats.append([[cols[b][a] for b in range(n)] for a in range(n)])
+                Q = zeros(n)
+                # Column b of the quotient is column keep[b] of M modulo k.
+                for b, c in enumerate(keep):
+                    for a, x in span.reduce([row[c] for row in M]).items():
+                        Q[pos[a]][b] = x
+                mats.append(Q)
             T[i][j] = OperatorPoly(mats, op.op_parity).trim()
     space = GradedSpace(n,
                         tuple(m.space.parity[i] for i in keep),
@@ -740,11 +742,10 @@ def char_small_verma(levels: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def _emb_matrix(m: ModuleRep, i: int, j: int):
-    """F_ij = (t_ij^(1) - t_{j'i'}^(1) (-1)^{bar j + bar i bar j} th_i th_j)(-1)^{bar i}/2."""
+    """F_ij = (t_ij^(1) - st_sign(i, j) t_{j'i'}^(1)) (-1)^{bar i} / 2."""
     A = m.t_first(i, j)
     B = m.t_first(iprime(j), iprime(i))
-    s = (-1) ** (bar(j) + bar(i) * bar(j)) * theta(i) * theta(j)
-    out = mat_sub(A, mat_scale(B, s))
+    out = mat_sub(A, mat_scale(B, st_sign(i, j)))
     sign = HALF if bar(i) == 0 else -HALF
     return mat_scale(out, sign)
 

@@ -8,8 +8,8 @@ import sys
 
 from .exact_arith import RatFunc, UniPoly, rat, rat_str
 from ._linalg import SingularMatrix
-from .rep_core import (MissingDepth, build_elementary, build_small_verma,
-                       load_module, save_module)
+from .rep_core import (build_elementary, build_small_verma, load_module,
+                       save_module)
 from .hopf_tensor import (NoHighestVector, highest_weight_of, tensor_modules)
 from . import analysis as an
 
@@ -91,20 +91,12 @@ def cmd_tensor(args):
 
 def cmd_verify(args):
     m = load_module(args.module)
-    try:
-        if args.relation == "rtt":
-            report = an.verify_rtt(m, n_samples=args.samples, seed=args.seed)
-        elif args.relation == "central":
-            report = an.verify_central(m, n_samples=args.samples,
-                                       seed=args.seed)
-        else:
-            report = an.gauss_diagonal_check(m, args.at)
-    except an.RelationViolation as exc:
-        print(f"FAIL: {exc}")
-        return 1
-    except SingularMatrix as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    if args.relation == "rtt":
+        report = an.verify_rtt(m, n_samples=args.samples, seed=args.seed)
+    elif args.relation == "central":
+        report = an.verify_central(m, n_samples=args.samples, seed=args.seed)
+    else:
+        report = an.gauss_diagonal_check(m, args.at)
     _emit(args, report, f"{report['check']}: {report['result']} "
                         f"(module {report['module_digest']})")
     return 0
@@ -122,13 +114,7 @@ def cmd_character(args):
 
 
 def cmd_drinfeld(args):
-    m = load_module(args.module)
-    try:
-        hw = highest_weight_of(m)
-        P = an.drinfeld_polynomial(hw)
-    except (NoHighestVector, an.NotDominant) as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    P = an.drinfeld_polynomial(highest_weight_of(load_module(args.module)))
     _emit(args, {"P": [rat_str(c) for c in P.P.coeffs]},
           f"P(u) = {_fmt_poly(P.P)}")
     return 0
@@ -183,12 +169,7 @@ def cmd_quotient(args):
 
 
 def cmd_osp(args):
-    m = load_module(args.module)
-    try:
-        _, _, _, decomp = an.osp_action(m)
-    except an.WeightMismatch as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    _, _, _, decomp = an.osp_action(load_module(args.module))
     text = " + ".join(f"V({rat_str(w)})" + (f"x{n}" if n > 1 else "")
                       for w, n in decomp.items())
     _emit(args, {"decomposition": {rat_str(w): n for w, n in decomp.items()}},
@@ -312,11 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A check that ran and failed exits 1; any other ValueError (bad flags or
+# files, truncated input, a missing depth) is a usage error and exits 2.
+CHECK_FAILURES = (an.RelationViolation, SingularMatrix, NoHighestVector,
+                  an.NotDominant, an.WeightMismatch)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MissingDepth, an.TruncatedInput, an.NotInvariant, ValueError) as exc:
+    except CHECK_FAILURES as exc:
+        print(f"FAIL: {exc}")
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

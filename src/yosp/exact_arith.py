@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, rational-function and truncated-series arithmetic.
+"""Exact scalar, polynomial and rational-function arithmetic.
 
 Everything here is over the rationals, with no rounding anywhere.  The scalar
 type is gmpy2's mpq when available (much faster for the dense matrix work
@@ -7,7 +7,7 @@ downstream) and fractions.Fraction otherwise; both print as "p/q".
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 try:
     from gmpy2 import mpq as Scalar
@@ -23,11 +23,7 @@ class PoleError(ZeroDivisionError):
 
 
 class DegreeError(ValueError):
-    """Series expansion at infinity of a function with a pole there."""
-
-
-class InconsistentSamples(ValueError):
-    """Interpolation samples not matched by any polynomial of the stated degree."""
+    """A rational function lacks the value at infinity a caller needs."""
 
 
 def rat(x, y=None) -> Scalar:
@@ -234,9 +230,6 @@ class RatFunc:
         """(u + a) / (u + b)."""
         return cls(UniPoly.x_plus(a), UniPoly.x_plus(b))
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def __eq__(self, other):
         # Canonical form makes equality structural.
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
@@ -282,98 +275,5 @@ class RatFunc:
     def reflect(self, c=ZERO) -> "RatFunc":
         return RatFunc(self.num.reflect(c), self.den.reflect(c))
 
-    def value_at_infinity(self) -> Scalar:
-        if self.num.degree > self.den.degree:
-            raise DegreeError("pole at infinity")
-        if self.num.degree < self.den.degree:
-            return ZERO
-        return self.num.leading()  # den is monic
-
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"
-
-
-class TruncatedSeries:
-    """Series 1-ish in u^{-1}: coefficients of u^0, u^{-1}, ..., u^{-order}."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Sequence, order: int = None):
-        cs = [rat(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        cs = (cs + [ZERO] * (order + 1))[: order + 1]
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
-
-    def __mul__(self, other):
-        n = min(self.order, other.order)
-        out = [ZERO] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return TruncatedSeries(out, n)
-
-    def __repr__(self):
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
-
-
-def series_expand(f: RatFunc, order: int) -> TruncatedSeries:
-    """First order+1 coefficients of the expansion of f in powers of u^{-1}."""
-    dn, dd = f.num.degree, f.den.degree
-    if dn > dd:
-        raise DegreeError("deg num > deg den: no expansion at infinity")
-    # In x = 1/u the function is N(x)/D(x) with D(0) != 0; do a series division.
-    N = [ (f.num.coeffs[dd - i] if 0 <= dd - i <= dn else ZERO) for i in range(dd + 1)]
-    D = [f.den.coeffs[dd - i] for i in range(dd + 1)]
-    out = []
-    for r in range(order + 1):
-        acc = N[r] if r < len(N) else ZERO
-        for j in range(1, r + 1):
-            if j < len(D):
-                acc -= D[j] * out[r - j]
-        out.append(acc / D[0])
-    return TruncatedSeries(out, order)
-
-
-def poly_interpolate(points: Sequence, degree_bound: int) -> UniPoly:
-    """Interpolate a polynomial of degree <= degree_bound through exact samples.
-
-    Requires at least degree_bound+1 distinct abscissas; any extra points are
-    used to cross-check the interpolant and raise InconsistentSamples on
-    disagreement.
-    """
-    pts = [(rat(u), rat(v)) for u, v in points]
-    seen = {}
-    for u, v in pts:
-        if u in seen and seen[u] != v:
-            raise InconsistentSamples(f"two values at u = {u}")
-        seen[u] = v
-    if len(seen) < degree_bound + 1:
-        raise ValueError("not enough distinct sample points")
-    base = list(seen.items())[: degree_bound + 1]
-    poly = UniPoly()
-    for i, (ui, vi) in enumerate(base):
-        li = UniPoly([ONE])
-        denom = ONE
-        for j, (uj, _) in enumerate(base):
-            if j == i:
-                continue
-            li = li * UniPoly([-uj, ONE])
-            denom *= ui - uj
-        poly = poly + li * (vi / denom)
-    for u, v in seen.items():
-        if poly(u) != v:
-            raise InconsistentSamples(f"sample at u = {u} off the degree-{degree_bound} interpolant")
-    return poly

@@ -174,7 +174,7 @@ def _build_corner(alpha, beta, space: GradedSpace):
     return (OperatorPoly(T11, 0), OperatorPoly(T21, 1), OperatorPoly(T12, 1))
 
 
-def reconstruct_full_T(partial: ModuleRep, check: bool = True) -> ModuleRep:
+def reconstruct_full_T(partial: ModuleRep) -> ModuleRep:
     """Fill T_31, T_22, T_32, T_33, T_23, T_13 from T_11, T_12, T_21.
 
     The recurrences are super-brackets with the level-one generators
@@ -199,12 +199,11 @@ def reconstruct_full_T(partial: ModuleRep, check: bool = True) -> ModuleRep:
          [T21.trim(), T22.trim(), T23.trim()],
          [T31.trim(), T32.trim(), T33.trim()]]
     out = ModuleRep(m.space, m.denom, T, m.c, m.highest_index, m.factors)
-    if check:
-        lhs = -T11.bracket_const(t12, 1)                  # [t_12^(1), T_11(u)]
-        if not lhs.trim() == T12.trim():
-            raise ReconstructionInconsistent("[t_12^(1), T_11(u)] != T_12(u)")
-        if out.weight_shift_violations():
-            raise ReconstructionInconsistent("weight grading broken")
+    lhs = -T11.bracket_const(t12, 1)                      # [t_12^(1), T_11(u)]
+    if not lhs.trim() == T12.trim():
+        raise ReconstructionInconsistent("[t_12^(1), T_11(u)] != T_12(u)")
+    if out.weight_shift_violations():
+        raise ReconstructionInconsistent("weight grading broken")
     return out
 
 

@@ -16,7 +16,7 @@ from math import comb
 from typing import Tuple
 
 from .exact_arith import KAPPA, Scalar, UniPoly, ZERO, rat
-from ._linalg import eye, mat_add, mat_mul, mat_scale, mat_sub, transpose, zeros
+from ._linalg import eye, mat_add, mat_scale, mat_sub, transpose, zeros
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
 THETA = (None, 1, 1, -1)
@@ -68,19 +68,10 @@ class GradedSpace:
         return max(self.weight)
 
 
-def super_transpose(A):
-    """Entrywise super-transpose of a 3x3 array (scalars or operator entries).
-
-    (A^t)_{ij} = A_{j'i'} (-1)^{bar(i)bar(j)+bar(j)} theta_i theta_j;
-    indices here are 0-based in storage, 1-based in the formula.
-    """
-    out = [[None] * 3 for _ in range(3)]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            sgn = theta(i) * theta(j) * (-1) ** (bar(i) * bar(j) + bar(j))
-            val = A[iprime(j) - 1][iprime(i) - 1]
-            out[i - 1][j - 1] = val if sgn == 1 else -val
-    return out
+def st_sign(i: int, j: int) -> int:
+    """The super-transpose sign theta_i theta_j (-1)^{|i||j|+|j|}, so that
+    (A^t)_ij = st_sign(i, j) A_{j'i'} for 1-based indices."""
+    return theta(i) * theta(j) * (-1) ** (bar(i) * bar(j) + bar(j))
 
 
 # ---------------------------------------------------------------------------
@@ -116,56 +107,6 @@ def build_P_Q_R():
     c1 = mat_add(mat_sub(mat_scale(eye(9), -KAPPA), P), Q)
     c2 = eye(9)
     return P, Q, [c0, c1, c2]
-
-
-def rc_eval(Rc, w):
-    """Evaluate the cleared R-matrix coefficient list at w."""
-    w = rat(w)
-    return mat_add(Rc[0], mat_add(mat_scale(Rc[1], w), mat_scale(Rc[2], w * w)))
-
-
-def embed_two_leg(R9, legs: Tuple[int, int], nlegs: int = 3):
-    """Place a two-leg operator into legs p < q of (C^{1|2})^{(x) nlegs}."""
-    p, q = legs
-    dim = 3 ** nlegs
-    out = zeros(dim, dim)
-    mids = [m for m in range(nlegs) if p < m < q]
-    free = [m for m in range(nlegs) if m != p and m != q]
-    for a in range(1, 4):
-        for d in range(1, 4):
-            for b in range(1, 4):
-                for e in range(1, 4):
-                    val = R9[_pair_index(a, b)][_pair_index(d, e)]
-                    if val == 0:
-                        continue
-                    for mask in range(3 ** len(free)):
-                        src = [0] * nlegs
-                        tgt = [0] * nlegs
-                        mm = mask
-                        for m in free:
-                            src[m] = tgt[m] = mm % 3 + 1
-                            mm //= 3
-                        tgt[p], src[p] = a, d
-                        tgt[q], src[q] = b, e
-                        sgn = 1
-                        if (bar(a) + bar(d)) % 2 and sum(bar(src[m]) for m in mids) % 2:
-                            sgn = -1
-                        r = sum((tgt[m] - 1) * 3 ** (nlegs - 1 - m) for m in range(nlegs))
-                        c = sum((src[m] - 1) * 3 ** (nlegs - 1 - m) for m in range(nlegs))
-                        out[r][c] += sgn * val
-    return out
-
-
-def ybe_holds_at(u, v) -> bool:
-    """Yang-Baxter on (C^{1|2})^{(x)3} at a sample point, denominators cleared."""
-    u, v = rat(u), rat(v)
-    _, _, Rc = build_P_Q_R()
-    r12 = embed_two_leg(rc_eval(Rc, u - v), (0, 1))
-    r13 = embed_two_leg(rc_eval(Rc, u), (0, 2))
-    r23 = embed_two_leg(rc_eval(Rc, v), (1, 2))
-    lhs = mat_mul(mat_mul(r12, r13), r23)
-    rhs = mat_mul(mat_mul(r23, r13), r12)
-    return lhs == rhs
 
 
 def _row_nonzeros(M):

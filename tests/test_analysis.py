@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from yosp.exact_arith import HALF, KAPPA, RatFunc, UniPoly, ZERO, ONE, rat
-from yosp._linalg import SingularMatrix, mat_vec
+from yosp._linalg import SingularMatrix, mat_mul, mat_vec
 from yosp.rep_core import (build_elementary, build_small_verma,
                            vector_representation)
 from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
@@ -202,6 +203,50 @@ def test_is_irreducible_on_elementary_and_example():
     ok, cert = an.is_irreducible(_example_tensor())
     assert not ok
     assert cert["singular_dim"] == 2 and "witness" in cert
+
+
+def _column(A, c, n):
+    """The nonzero entries of column c of A (None stands for zero)."""
+    return {} if A is None else {r: A[r][c] for r in range(n) if A[r][c]}
+
+
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=5).map(rat),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).map(rat),
+       st.integers(4, 6), st.integers(1, 3))
+# No shrink phase: each example builds two modules, and shrinking a failure
+# took minutes.
+@settings(max_examples=12, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_truncation_margins_are_sound(alpha, beta, depth, extra):
+    """M(alpha,beta) built at depth d and at d+k agree on every coefficient
+    of every T_ij in the columns SINGULAR_MARGIN (so also RELATION_MARGIN)
+    levels below the cut, and on every product T_ab(x) T_cd(y), the RTT
+    verifier's operands, in the columns RELATION_MARGIN levels below it."""
+    small = build_small_verma(alpha, beta, depth)
+    big = build_small_verma(alpha, beta, depth + extra)
+    pos = [big.space.labels.index(lab) for lab in small.space.labels]
+    n, N = small.dim, big.dim
+
+    def same(A, B, margin):
+        cols = small.interior_indices(margin)
+        assert cols
+        for c in cols:
+            want = {pos[r]: x for r, x in _column(A, c, n).items()}
+            assert want == _column(B, pos[c], N)
+
+    ops = list(itertools.product(range(1, 4), repeat=2))
+    for i, j in ops:
+        for A, B in itertools.zip_longest(small.op(i, j).coeffs,
+                                          big.op(i, j).coeffs):
+            same(A, B, an.SINGULAR_MARGIN)
+
+    def at(m, v):
+        return [m.op(i, j).eval(v) for i, j in ops]
+
+    x, y = rat(2, 7), rat(-5, 3)
+    for (Sx, Bx), (Sy, By) in itertools.product(
+            zip(at(small, x), at(big, x)), zip(at(small, y), at(big, y))):
+        same(mat_mul(Sx, Sy), mat_mul(Bx, By), an.RELATION_MARGIN)
 
 
 def test_is_irreducible_rejects_truncated():

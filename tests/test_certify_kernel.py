@@ -19,8 +19,9 @@ from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.hopf_tensor import tensor_modules
 from yosp.rep_core import (build_elementary, build_small_verma,
                            vector_representation)
-from yosp.super_linalg import (OperatorPoly, bar, build_P_Q_R, iprime, rc_eval,
-                               theta)
+from yosp.super_linalg import OperatorPoly, bar, build_P_Q_R, iprime, theta
+
+from rmatrix import rc_eval
 
 
 def oracle_rtt(m, n_samples=0, seed=0, margin=4):

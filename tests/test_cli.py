@@ -5,6 +5,7 @@ import json
 import pytest
 
 from yosp.cli import main
+from yosp.exact_arith import rat, rat_str
 
 
 def test_build_and_verify_roundtrip(tmp_path, capsys):
@@ -194,3 +195,52 @@ def test_malformed_module_file_is_a_usage_error(tmp_path, capsys, corrupt,
     captured = capsys.readouterr()
     assert "pass" not in captured.out and "FAIL" not in captured.out
     assert message in captured.err
+
+
+# One exit-code table: a check that ran and failed prints FAIL and exits 1.
+
+def _not_eigenvector(d):
+    d["T"]["11"][0].append([1, d["highest_index"], "1"])
+    return d
+
+
+def _flip_sign(d):
+    a, b, x = d["T"]["21"][1][0]
+    d["T"]["21"][1][0] = [a, b, rat_str(-rat(x))]
+    return d
+
+
+def _zero_top_weight(d):
+    h = d["highest_index"]
+    d["T"]["11"][1] = [t for t in d["T"]["11"][1] if t[:2] != [h, h]]
+    return d
+
+
+MOD = object()  # stands for the module file's path in argv
+L2 = ["elementary", "--alpha", "-2", "--beta", "0"]
+VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
+
+
+@pytest.mark.parametrize("build, argv, corrupt, message", [
+    (L2, ["classify", MOD], _not_eigenvector, "eigenvector"),
+    (L2, ["drinfeld", MOD], _not_eigenvector, "eigenvector"),
+    (VERMA, ["drinfeld", MOD], None, "unbalanced roots"),
+    (L2, ["verify", "rtt", MOD], _flip_sign, "RTT fails"),
+    (L2, ["verify", "central", MOD], _flip_sign, "central relation fails"),
+    (L2, ["verify", "gauss", MOD], _flip_sign, "Gauss relations fail"),
+    (L2, ["verify", "gauss", MOD, "--at", "0"], None, "d(0) = 0"),
+    (L2, ["osp", MOD], _zero_top_weight, "F_11 entry"),
+], ids=["classify-no-highest-vector", "drinfeld-no-highest-vector",
+        "drinfeld-not-dominant", "rtt-relation-violation",
+        "central-relation-violation", "gauss-relation-violation",
+        "gauss-singular-matrix", "osp-weight-mismatch"])
+def test_failed_check_exits_1(tmp_path, capsys, build, argv, corrupt, message):
+    mod = tmp_path / "m.json"
+    assert main(build + ["--out", str(mod)]) == 0
+    if corrupt:
+        mod.write_text(json.dumps(corrupt(json.loads(mod.read_text()))))
+    capsys.readouterr()
+    assert main([str(mod) if a is MOD else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL: ") and message in captured.out
+    assert captured.err == ""

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yosp.exact_arith import (HALF, InconsistentSamples, KAPPA, ONE, PoleError,
-                              RatFunc, TruncatedSeries, UniPoly, ZERO,
-                              poly_interpolate, rat, rat_str, series_expand)
+from yosp.exact_arith import (HALF, KAPPA, ONE, PoleError, RatFunc, UniPoly,
+                              ZERO, rat, rat_str)
 
 
 def test_rat_basics():
@@ -99,7 +98,6 @@ def test_ratfunc_pole():
 def test_ratfunc_shift_and_infinity():
     f = RatFunc.linear_ratio(rat(-1), rat(0))
     assert f.shift(rat(1)) == RatFunc.linear_ratio(rat(0), rat(1))
-    assert f.value_at_infinity() == 1
 
 
 @given(st.lists(small_rats, min_size=1, max_size=4).map(UniPoly),
@@ -112,32 +110,3 @@ def test_ratfunc_field_axioms(p, q):
     g = RatFunc(q, p)
     assert f * g == RatFunc.const(1)
     assert f - f == RatFunc.const(0)
-
-
-def test_truncated_series_product():
-    # 1/u * 1/u = 1/u^2 at order 3
-    a = TruncatedSeries([ZERO, ONE, ZERO, ZERO], 3)
-    b = a * a
-    assert b.coeffs[2] == 1
-    assert all(c == 0 for i, c in enumerate(b.coeffs) if i != 2)
-
-
-def test_series_expand_geometric():
-    # u/(u-1) = 1 + u^{-1} + u^{-2} + ...
-    f = RatFunc.linear_ratio(rat(0), rat(-1))
-    s = series_expand(f, 4)
-    assert list(s.coeffs) == [ONE] * 5
-
-
-def test_poly_interpolate_roundtrip():
-    p = UniPoly([rat(1), rat(-3), rat(2)])
-    pts = [(rat(x), p(rat(x))) for x in range(5)]
-    assert poly_interpolate(pts, 2) == p
-
-
-def test_poly_interpolate_detects_bad_data():
-    p = UniPoly([rat(1), rat(-3), rat(2)])
-    pts = [(rat(x), p(rat(x))) for x in range(5)]
-    pts[4] = (pts[4][0], pts[4][1] + 1)
-    with pytest.raises(InconsistentSamples):
-        poly_interpolate(pts, 2)

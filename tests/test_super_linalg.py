@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from yosp.exact_arith import KAPPA, ONE, UniPoly, ZERO, rat
 from yosp._linalg import eye, mat_add, mat_eq, mat_mul, mat_scale, zeros
 from yosp.super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R,
-                               iprime, rc_eval, super_transpose, theta,
-                               ybe_holds_at)
+                               iprime, st_sign, theta)
+
+from rmatrix import rc_eval, ybe_holds_at
 
 P, Q, RC = build_P_Q_R()
 
@@ -52,9 +53,12 @@ def test_yang_baxter_equation():
 
 
 def test_super_transpose_is_involutive_on_scalars():
+    def supertr(A):
+        return [[st_sign(i, j) * A[iprime(j) - 1][iprime(i) - 1]
+                 for j in range(1, 4)] for i in range(1, 4)]
     A = [[rat(i * 3 + j + 1) for j in range(3)] for i in range(3)]
-    B = super_transpose(super_transpose(A))
-    assert all(A[i][j] == B[i][j] for i in range(3) for j in range(3))
+    assert supertr(A) != A
+    assert supertr(supertr(A)) == A
 
 
 def _space2():
