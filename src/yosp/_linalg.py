@@ -1,5 +1,7 @@
-"""Exact linear algebra over the rationals: dense matrix products, and row
-reduction (rank, kernels, inverses, spans) through one sparse echelon Span."""
+"""Exact linear algebra over the rationals: dense matrix products, sparse
+rows ({column: nonzero entry} dicts) and their products with sparse vectors,
+and row reduction (rank, kernels, inverses, spans) through one sparse
+echelon Span."""
 
 from __future__ import annotations
 
@@ -51,22 +53,42 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
-    """A v over the nonzeros of v; `is ZERO` skips the shared zero cheaply."""
-    nz = [(j, x) for j, x in enumerate(v) if x is not ZERO and x]
-    out = [ZERO] * len(A)
-    for i, row in enumerate(A):
-        acc = ZERO
-        for j, x in nz:
-            a = row[j]
-            if a is not ZERO and a:
-                acc += a * x
-        out[i] = acc
+def sparse_vec(v):
+    """A dense vector as a sparse {index: entry} dict of its nonzeros;
+    testing `x is ZERO` first skips the shared zero without a Scalar call."""
+    return {c: x for c, x in enumerate(v) if x is not ZERO and x}
+
+
+def add_multiple(r, f, row):
+    """r += f * row on sparse {column: entry} dicts, deleting entries that
+    cancel; f = 1 and f = -1 take no product."""
+    s = 1 if f == 1 else -1 if f == -1 else 0
+    for c, y in row.items():
+        y = y if s == 1 else -y if s == -1 else f * y
+        x = r.get(c)
+        if x is None:
+            r[c] = y
+        else:
+            x = x + y
+            if x:
+                r[c] = x
+            else:
+                del r[c]
+
+
+def sparse_mat_vec(rows, v):
+    """M v for M as sparse rows and v a sparse {column: entry} dict, as a
+    sparse dict without zeros."""
+    out = {}
+    for a, row in enumerate(rows):
+        acc = None
+        for c, x in row.items():
+            y = v.get(c)
+            if y is not None:
+                acc = x * y if acc is None else acc + x * y
+        if acc:
+            out[a] = acc
     return out
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def mat_eq(A, B):
@@ -113,16 +135,6 @@ def inverse(A):
     return [row[n:] for row in R[:n]]
 
 
-def _sub_multiple(r, f, row):
-    """r -= f * row on sparse {column: entry} dicts, dropping what cancels."""
-    for c, y in row.items():
-        x = r.get(c, ZERO) - f * y
-        if x:
-            r[c] = x
-        else:
-            del r[c]
-
-
 class Span:
     """A subspace with its unique reduced-row-echelon basis, built a vector
     at a time: each row is a sparse {column: entry} dict, 1 at its pivot (its
@@ -133,11 +145,12 @@ class Span:
         self._rows = {}  # pivot column -> sparse row
 
     def reduce(self, v):
-        """v modulo the span, as a sparse dict with no entry at a pivot."""
-        r = {c: x for c, x in enumerate(v) if x is not ZERO and x}
+        """v modulo the span, as a sparse dict with no entry at a pivot; v is
+        a dense sequence or a sparse {column: entry} dict without zeros."""
+        r = dict(v) if isinstance(v, dict) else sparse_vec(v)
         # Subtracting a row adds no entry at a pivot: only v's pivots matter.
         for p in [c for c in r if c in self._rows]:
-            _sub_multiple(r, r[p], self._rows[p])
+            add_multiple(r, -r[p], self._rows[p])
         return r
 
     def add(self, v) -> bool:
@@ -150,7 +163,7 @@ class Span:
         r = {c: x * inv for c, x in r.items()}
         for row in self._rows.values():
             if p in row:
-                _sub_multiple(row, row[p], r)
+                add_multiple(row, -row[p], r)
         self._rows[p] = r
         return True
 

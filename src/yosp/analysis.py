@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact_arith import (HALF, KAPPA, ONE, PoleError, RatFunc, Scalar,
                           UniPoly, ZERO, rat, rat_str)
 from ._linalg import (SingularMatrix, Span, eye, inverse, mat_eq, mat_mul,
-                      mat_scale, mat_sub, mat_vec, nullspace, rank, zeros)
+                      mat_scale, mat_sub, nullspace, rank, sparse_mat_vec,
+                      sparse_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import ModuleRep, to_json_dict
@@ -107,7 +108,7 @@ def module_digest(m: ModuleRep) -> str:
 # columns of a product are formed.
 # ---------------------------------------------------------------------------
 
-_RC = build_P_Q_R()[2]
+_RC = OperatorPoly(build_P_Q_R()[2], 0).rows
 
 
 def _avoiding(start, bad, count, step=1):
@@ -128,13 +129,9 @@ RELATION_MARGIN = 4
 SINGULAR_MARGIN = 2
 
 
-def _interior_cols(m: ModuleRep, margin: int):
-    return m.interior_indices(margin) if m.truncated else list(range(m.dim))
-
-
 def _checked_cols(m: ModuleRep, margin: int):
     """The columns a verifier compares; TruncatedInput when there are none."""
-    cols = _interior_cols(m, margin)
+    cols = m.interior_indices(margin)
     if not cols:
         raise TruncatedInput(
             f"no column of this dim-{m.dim} module lies {margin} levels below "
@@ -142,23 +139,24 @@ def _checked_cols(m: ModuleRep, margin: int):
     return cols
 
 
-def _den_lcm(mats):
-    """The lcm of the denominators of every entry of the matrices."""
-    return lcm(*{x.denominator for M in mats for row in M for x in row})
+def _den_lcm(coeffs):
+    """The lcm of the denominators of the entries of sparse-row coefficients."""
+    return lcm(*{x.denominator for R in coeffs for row in R
+                 for x in row.values()})
 
 
 def _int_rows(coeffs, E, L):
-    """L * sum_k coeffs[k] u^k as sparse rows: per row, (column, integer
-    coefficients ascending, padded to degree E) for each nonzero entry."""
+    """L * sum_k coeffs[k] u^k for sparse-row coefficients, as sparse rows:
+    per row, (column, integer coefficients ascending, padded to degree E)
+    for each nonzero entry."""
     out = []
     for r in range(len(coeffs[0])):
-        entries = []
-        for c in range(len(coeffs[0][r])):
-            xs = [M[r][c] for M in coeffs]
-            if any(xs):
-                ints = [x.numerator * (L // x.denominator) for x in xs]
-                entries.append((c, ints + [0] * (E + 1 - len(ints))))
-        out.append(entries)
+        ints = {}
+        for k, R in enumerate(coeffs):
+            for c, x in R[r].items():
+                ints.setdefault(c, [0] * (E + 1))[k] = \
+                    x.numerator * (L // x.denominator)
+        out.append(list(ints.items()))
     return out
 
 
@@ -181,9 +179,9 @@ def _eval_rows(rows, E, x):
 def _int_module(m: ModuleRep):
     """(E, L, ops): E bounds the degree of every T_ij, L is the lcm of all
     their denominators, and ops[i][j] is _int_rows of T_ij."""
-    E = max(len(op.coeffs) for row in m.T for op in row) - 1
-    L = _den_lcm([M for row in m.T for op in row for M in op.coeffs])
-    return E, L, [[_int_rows(op.coeffs, E, L) for op in row] for row in m.T]
+    E = max(len(op.rows) for row in m.T for op in row) - 1
+    L = _den_lcm([R for row in m.T for op in row for R in op.rows])
+    return E, L, [[_int_rows(op.rows, E, L) for op in row] for row in m.T]
 
 
 def _eval_T(ops, E, x):
@@ -412,31 +410,28 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 # ---------------------------------------------------------------------------
 
 def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
+    """The sparse-row u-coefficients of every T_ij (i < j when upper_only)."""
     out = []
     for i in range(1, 4):
         for j in range(1, 4):
             if upper_only and i >= j:
                 continue
-            out.extend(m.op(i, j).coeffs)
+            out.extend(m.op(i, j).rows)
     return out
 
 
 def singular_vectors(m: ModuleRep) -> Subspace:
     """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by weight."""
     raising = _coeff_matrices(m, upper_only=True)
-    cols_ok = set(_interior_cols(m, SINGULAR_MARGIN))
+    cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
     by_weight = m.space.weight_spaces()
     for w in sorted(by_weight, reverse=True):
         idxs = [i for i in by_weight[w] if i in cols_ok]
         if not idxs:
             continue
-        rows = []
-        for M in raising:
-            for tgt in range(m.dim):
-                row = [M[tgt][s] for s in idxs]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+        rows = [[row.get(s, ZERO) for s in idxs] for R in raising
+                for row in R if any(s in row for s in idxs)]
         if not rows:
             rows = [[ZERO] * len(idxs)]
         for v in nullspace(rows):
@@ -449,7 +444,7 @@ def singular_vectors(m: ModuleRep) -> Subspace:
 
 def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
     """Closure of span{v} under all coefficient matrices of all nine T_ij."""
-    v = [rat(x) for x in v]
+    v = sparse_vec(rat(x) for x in v)
     span = Span(m.dim)
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
@@ -458,8 +453,8 @@ def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
     while frontier:
         nxt = []
         for x in frontier:
-            for M in mats:
-                y = mat_vec(M, x)
+            for R in mats:
+                y = sparse_mat_vec(R, x)
                 if span.add(y):
                     nxt.append(y)
         frontier = nxt
@@ -469,14 +464,14 @@ def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
 def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     """Induced action on the complement of an invariant subspace."""
     span = Span(m.dim)
-    for b in k.basis:
-        ws = {m.space.weight[i] for i, x in enumerate(b) if x != 0}
-        if len(ws) > 1:
+    basis = [sparse_vec(b) for b in k.basis]
+    for b in basis:
+        if len({m.space.weight[i] for i in b}) > 1:
             raise ValueError("subspace basis must be weight-homogeneous")
         span.add(b)
-    for M in _coeff_matrices(m):
-        for b in k.basis:
-            if not span.contains(mat_vec(M, b)):
+    for R in _coeff_matrices(m):
+        for b in basis:
+            if not span.contains(sparse_mat_vec(R, b)):
                 raise NotInvariant("subspace is not stable under the action")
     pivots = set(span.pivots())
     keep = [i for i in range(m.dim) if i not in pivots]
@@ -486,15 +481,19 @@ def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     for i in range(3):
         for j in range(3):
             op = m.T[i][j]
-            mats = []
-            for M in op.coeffs:
-                Q = zeros(n)
-                # Column b of the quotient is column keep[b] of M modulo k.
+            rows = []
+            for R in op.rows:
+                cols = [{} for _ in range(m.dim)]
+                for a, row in enumerate(R):
+                    for c, x in row.items():
+                        cols[c][a] = x
+                Q = [{} for _ in range(n)]
+                # Column b of the quotient is column keep[b] of R modulo k.
                 for b, c in enumerate(keep):
-                    for a, x in span.reduce([row[c] for row in M]).items():
+                    for a, x in span.reduce(cols[c]).items():
                         Q[pos[a]][b] = x
-                mats.append(Q)
-            T[i][j] = OperatorPoly(mats, op.op_parity).trim()
+                rows.append(Q)
+            T[i][j] = OperatorPoly.from_rows(rows, op.op_parity).trim()
     space = GradedSpace(n,
                         tuple(m.space.parity[i] for i in keep),
                         tuple(m.space.weight[i] for i in keep),
@@ -506,12 +505,6 @@ def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     return ModuleRep(space, m.denom, T, m.c, hi, list(m.factors))
 
 
-def _unit(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
-
-
 def is_irreducible(m: ModuleRep):
     """Two-sided test: singular space is a line and the highest vector is cyclic.
 
@@ -520,7 +513,8 @@ def is_irreducible(m: ModuleRep):
     if m.truncated:
         raise TruncatedInput("irreducibility is undecidable under truncation")
     sing = singular_vectors(m)
-    span = cyclic_span(m, _unit(m.dim, m.highest_index))
+    span = cyclic_span(m, [ONE if i == m.highest_index else ZERO
+                           for i in range(m.dim)])
     ok = sing.dim == 1 and span.dim == m.dim
     cert = {"singular_dim": sing.dim, "cyclic_dim": span.dim, "dim": m.dim}
     if sing.dim > 1:
@@ -533,13 +527,13 @@ def is_irreducible(m: ModuleRep):
 
 def tii_eigenvalue(m: ModuleRep, v: Sequence, i: int) -> RatFunc:
     """The eigenvalue of t_ii(u) on a common eigenvector v, as a RatFunc."""
-    v = [rat(x) for x in v]
-    pivot = next(a for a, x in enumerate(v) if x != 0)
+    v = sparse_vec(rat(x) for x in v)
+    pivot = min(v)
     cs = []
-    for M in m.op(i, i).coeffs:
-        w = mat_vec(M, v)
-        c = w[pivot] / v[pivot]
-        if any(w[a] != c * v[a] for a in range(m.dim)):
+    for R in m.op(i, i).rows:
+        w = sparse_mat_vec(R, v)
+        c = w.get(pivot, ZERO) / v[pivot]
+        if w != ({a: c * x for a, x in v.items()} if c else {}):
             raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
         cs.append(c)
     return RatFunc(UniPoly(cs), m.denom)
@@ -608,12 +602,8 @@ def _poly_rational_roots(p: UniPoly):
 
 
 def _find_rational_root(p: UniPoly) -> Optional[Scalar]:
-    from math import gcd
-    dens = [int(c.denominator) for c in p.coeffs]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c.numerator) * (lcm // int(c.denominator)) for c in p.coeffs]
+    L = lcm(*(int(c.denominator) for c in p.coeffs))
+    ints = [int(c.numerator) * (L // int(c.denominator)) for c in p.coeffs]
     a0, an = ints[0], ints[-1]
     if a0 == 0:
         return ZERO

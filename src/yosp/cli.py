@@ -80,7 +80,7 @@ def cmd_small_verma(args):
 
 def cmd_tensor(args):
     if len(args.inputs) < 2:
-        raise SystemExit(2)
+        raise ValueError("tensor needs at least two modules (--in twice)")
     m = load_module(args.inputs[0])
     for path in args.inputs[1:]:
         m = tensor_modules(m, load_module(path))
@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # A check that ran and failed exits 1; any other ValueError (bad flags or
-# files, truncated input, a missing depth) is a usage error and exits 2.
+# files, truncated input, a missing depth) and any OSError (a module file
+# that cannot be read or written) is a usage error and exits 2.
 CHECK_FAILURES = (an.RelationViolation, SingularMatrix, NoHighestVector,
                   an.NotDominant, an.WeightMismatch)
 
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
     except CHECK_FAILURES as exc:
         print(f"FAIL: {exc}")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
 Everything here is over the rationals, with no rounding anywhere.  The scalar
-type is gmpy2's mpq when available (much faster for the dense matrix work
-downstream) and fractions.Fraction otherwise; both print as "p/q".
+type is gmpy2's mpq when the optional gmpy2 is installed and
+fractions.Fraction otherwise; both print as "p/q".
 """
 
 from __future__ import annotations
@@ -118,12 +118,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = UniPoly([ONE])
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __call__(self, u0) -> Scalar:
         acc = ZERO

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
-from ._linalg import zeros
+from ._linalg import add_multiple
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -70,39 +70,32 @@ def tensor_modules(a: ModuleRep, b: ModuleRep) -> ModuleRep:
     src_par_a = a.space.parity
     for i in range(1, 4):
         for j in range(1, 4):
-            coeffs = [zeros(n) for _ in range(D + 1)]
+            rows = [[{} for _ in range(n)] for _ in range(D + 1)]
             for k in range(1, 4):
-                A = a.op(i, k)
-                B = b.op(k, j)
                 op_b = (bar(k) + bar(j)) % 2
-                for p in range(A.degree + 1):
-                    Ap = A.coeff(p)
-                    if not any(any(row) for row in Ap):
-                        continue
-                    for q in range(B.degree + 1):
-                        Bq = B.coeff(q)
-                        _kron_accumulate(coeffs[p + q], Ap, Bq, op_b, src_par_a)
-            T[i - 1][j - 1] = OperatorPoly(coeffs, (bar(i) + bar(j)) % 2).trim()
+                for p, Ap in enumerate(a.op(i, k).rows):
+                    for q, Bq in enumerate(b.op(k, j).rows):
+                        _kron_accumulate(rows[p + q], Ap, Bq, op_b, src_par_a)
+            T[i - 1][j - 1] = OperatorPoly.from_rows(
+                rows, (bar(i) + bar(j)) % 2).trim()
     hi = a.highest_index * b.dim + b.highest_index
     return ModuleRep(space, denom, T, a.c * b.c, hi, list(a.factors) + list(b.factors))
 
 
 def _kron_accumulate(out, A, B, op_parity_b, source_parity_a):
-    """out += A (x) B with the Koszul sign of B passing A's source vector:
-    entry ((i,k),(j,l)) gains A[i][j] B[k][l] (-1)^{op_parity_b parity(e_j)}."""
-    nb, mb = len(B), len(B[0])
-    b_nonzeros = [(k, l, y) for k, rowb in enumerate(B)
-                  for l, y in enumerate(rowb) if y is not ZERO and y]
+    """out += A (x) B on sparse rows, with the Koszul sign of B passing A's
+    source vector: entry ((i,k),(j,l)) gains A[i][j] B[k][l]
+    (-1)^{op_parity_b parity(e_j)}."""
+    nb = len(B)
+    moved = {}  # column j of A -> the rows of B moved to columns (j, l)
     for i, rowa in enumerate(A):
-        for j, x in enumerate(rowa):
-            if x is ZERO or not x:
-                continue
+        for j, x in rowa.items():
+            if j not in moved:
+                moved[j] = [(k, {j * nb + l: y for l, y in rowb.items()})
+                            for k, rowb in enumerate(B) if rowb]
             coef = -x if (op_parity_b and source_parity_a[j]) else x
-            for k, l, y in b_nonzeros:
-                orow = out[i * nb + k]
-                p = coef * y
-                v = orow[j * mb + l]
-                orow[j * mb + l] = v + p if v else p
+            for k, rowb in moved[j]:
+                add_multiple(out[i * nb + k], coef, rowb)
     return out
 
 
@@ -115,11 +108,10 @@ def highest_weight_of(m: ModuleRep) -> HighestWeight:
     h = idx[0]
     lams = []
     for i in range(1, 4):
-        col_ok = all(M[a][h] == 0
-                     for M in m.op(i, i).coeffs for a in range(m.dim) if a != h)
-        if not col_ok:
+        rows = m.op(i, i).rows
+        if any(h in row for R in rows for a, row in enumerate(R) if a != h):
             raise NoHighestVector("top vector is not a t_ii(u) eigenvector")
-        lam = UniPoly([M[h][h] for M in m.op(i, i).coeffs])
+        lam = UniPoly([R[h].get(h, ZERO) for R in rows])
         lams.append(RatFunc(lam, m.denom))
     hw = HighestWeight(*lams)
     if not hw.consistency_holds():
@@ -139,16 +131,19 @@ def dual_module(m: ModuleRep) -> ModuleRep:
     par = m.space.parity
     for i in range(1, 4):
         for j in range(1, 4):
-            op = m.op(iprime(i), iprime(j)).reflect(HALF).transpose_mats()
-            if (bar(i) + bar(j)) % 2:
-                # omega reverses products only up to Koszul signs, so the
-                # transposed action of an odd series needs a row-parity sign
-                op = OperatorPoly(
-                    [[[x if x is ZERO else -x for x in row] if par[a] else row
-                      for a, row in enumerate(M)] for M in op.coeffs],
-                    op.op_parity)
-            s = sign * theta(i) * theta(j)
-            T[i - 1][j - 1] = (op if s == 1 else op.scale(s)).trim()
+            op = m.op(iprime(i), iprime(j)).reflect(HALF)
+            flip = sign * theta(i) * theta(j) == -1
+            # Transposed, times (-1)^deg d theta_i theta_j; omega reverses
+            # products only up to Koszul signs, so an odd series also takes
+            # the parity sign of its new row b.
+            rows = []
+            for R in op.rows:
+                Rt = [{} for _ in R]
+                for a, row in enumerate(R):
+                    for b, x in row.items():
+                        Rt[b][a] = -x if flip != bool(op.op_parity and par[b]) else x
+                rows.append(Rt)
+            T[i - 1][j - 1] = OperatorPoly.from_rows(rows, op.op_parity).trim()
     factors = [Factor(-f.beta, -f.alpha, None) for f in m.factors]
     out = ModuleRep(m.space, denom, T, RatFunc.const(1), m.highest_index, factors)
     out.c = central_from_hw(highest_weight_of(out))

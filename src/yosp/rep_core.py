@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .exact_arith import (DegreeError, HALF, KAPPA, ONE, RatFunc, Scalar,
                           UniPoly, ZERO, rat, rat_str)
-from ._linalg import zeros
+from ._linalg import add_multiple
 from .super_linalg import GradedSpace, OperatorPoly, bar, iprime, theta
 
 W_SHIFT = (None, 1, 0, -1)  # weight carried by row/column index i of T
@@ -76,14 +76,14 @@ class ModuleRep:
     def t_first(self, i: int, j: int):
         """Matrix of t_ij^{(1)}, the u^{-1} coefficient of t_ij(u) = T_ij(u)/d(u)."""
         D = self.denom.degree
-        M = [list(row) for row in self.op(i, j).coeff(D - 1)]
+        M = self.op(i, j).coeff(D - 1)
         if i == j and D >= 1:
             dcoef = self.denom.coeffs[D - 1]
             for a in range(self.dim):
                 M[a][a] -= dcoef
         return M
 
-    def interior_indices(self, margin: int = 2) -> List[int]:
+    def interior_indices(self, margin: int) -> List[int]:
         """Basis positions whose truncated-factor labels stay margin levels
         below every truncation cut (everything, when the module is exact)."""
         if not self.truncated:
@@ -105,12 +105,9 @@ class ModuleRep:
         for i in range(1, 4):
             for j in range(1, 4):
                 shift = W_SHIFT[i] - W_SHIFT[j]
-                for M in self.op(i, j).coeffs:
-                    for a, row in enumerate(M):
-                        for b, x in enumerate(row):
-                            if (x is not ZERO and x and wt[a] - wt[b] != shift
-                                    and not (i == j and a == b)):
-                                bad.append((i, j, a, b))
+                bad.extend((i, j, a, b) for R in self.op(i, j).rows
+                           for a, row in enumerate(R) for b in row
+                           if wt[a] - wt[b] != shift and not (i == j and a == b))
         return bad
 
 
@@ -140,17 +137,16 @@ def _build_corner(alpha, beta, space: GradedSpace):
     alpha, beta = rat(alpha), rat(beta)
     n = space.dim
     index = {lab[0]: i for i, lab in enumerate(space.labels)}
-    T11 = [zeros(n) for _ in range(3)]
-    T21 = [zeros(n) for _ in range(3)]
-    T12 = [zeros(n) for _ in range(3)]
+    T11, T21, T12 = ([[{} for _ in range(n)] for _ in range(3)]
+                     for _ in range(3))
 
-    def put(T, target, col, const, lin=ZERO, quad=ZERO):
+    def put(T, target, col, *coeffs):  # sets: no (target, col) recurs in T
         idx = index.get(target)
         if idx is None:  # killed by the quotient or the truncation cut
             return
-        T[0][idx][col] += const
-        T[1][idx][col] += lin
-        T[2][idx][col] += quad
+        for R, x in zip(T, coeffs):
+            if x:
+                R[idx][col] = x
 
     for (r, s), col in ((lab[0], i) for i, lab in enumerate(space.labels)):
         r_, s_ = rat(r), rat(s)
@@ -171,7 +167,8 @@ def _build_corner(alpha, beta, space: GradedSpace):
             c = rat((-1) ** (r + 1) * s * (2 * s + 1), 4 * (2 * s - 2 * r + 1)) \
                 * (alpha - beta + s_ - 1)
             put(T12, (r, s - 1), col, c * (2 * alpha + 2 * r_ - 1), 2 * c)
-    return (OperatorPoly(T11, 0), OperatorPoly(T21, 1), OperatorPoly(T12, 1))
+    return (OperatorPoly.from_rows(T11, 0), OperatorPoly.from_rows(T21, 1),
+            OperatorPoly.from_rows(T12, 1))
 
 
 def reconstruct_full_T(partial: ModuleRep) -> ModuleRep:
@@ -269,18 +266,18 @@ def vector_representation() -> ModuleRep:
     T = [[None] * 3 for _ in range(3)]
     for i in range(1, 4):
         for j in range(1, 4):
-            c0, c1, c2 = zeros(3), zeros(3), zeros(3)
+            c0, c1, c2 = ([{} for _ in range(3)] for _ in range(3))
             if i == j:
                 for a in range(3):
-                    c2[a][a] += ONE
-                    c1[a][a] += KAPPA
+                    c2[a][a] = ONE
+                    c1[a][a] = KAPPA
             s1 = rat((-1) ** bar(i))
-            c1[i - 1][j - 1] += s1
-            c0[i - 1][j - 1] += s1 * KAPPA
+            add_multiple(c1[i - 1], s1, {j - 1: ONE})
+            add_multiple(c0[i - 1], s1 * KAPPA, {j - 1: ONE})
             s2 = rat((-1) ** (bar(i) * bar(j)) * theta(i) * theta(j))
-            c1[iprime(j) - 1][iprime(i) - 1] -= s2
-            T[i - 1][j - 1] = OperatorPoly([c0, c1, c2],
-                                           (bar(i) + bar(j)) % 2).trim()
+            add_multiple(c1[iprime(j) - 1], -s2, {iprime(i) - 1: ONE})
+            T[i - 1][j - 1] = OperatorPoly.from_rows(
+                [c0, c1, c2], (bar(i) + bar(j)) % 2).trim()
     return ModuleRep(space, d, T, central_ratfunc(-1, 0), 0,
                      [Factor(rat(-1), rat(0), None)])
 
@@ -327,15 +324,18 @@ def to_json_dict(m: ModuleRep) -> dict:
              "weight": rat_str(m.space.weight[i])}
             for i in range(m.dim)
         ],
-        "T": {f"{i}{j}": [[[a, b, rat_str(x)]
-                            for a, row in enumerate(m.op(i, j).coeff(k))
-                            for b, x in enumerate(row) if x is not ZERO and x]
-                           for k in range(D + 1)]
+        "T": {f"{i}{j}": _triples(m.op(i, j), D)
               for i in range(1, 4) for j in range(1, 4)},
         "c": {"num": [rat_str(c) for c in m.c.num.coeffs],
               "den": [rat_str(c) for c in m.c.den.coeffs]},
         "highest_index": m.highest_index,
     }
+
+
+def _triples(op: OperatorPoly, D: int):
+    """The u^0..u^D coefficients of op, each as its row-major triples."""
+    return [[[a, b, rat_str(row[b])] for a, row in enumerate(R) for b in sorted(row)]
+            for R in op.rows + [[]] * (D + 1 - len(op.rows))]
 
 
 def from_json_dict(d: dict) -> ModuleRep:
@@ -376,16 +376,20 @@ def _read_module(d: dict) -> ModuleRep:
             if not 0 < len(sparse) <= denom.degree + 1:
                 raise ModuleFormatError(f"T_{i}{j} has {len(sparse)} "
                                         f"coefficients; deg d = {denom.degree}")
-            mats = [zeros(n) for _ in sparse]
-            for M, triples in zip(mats, sparse):
+            rows = [[{} for _ in range(n)] for _ in sparse]
+            for R, triples in zip(rows, sparse):
                 for a, b, x in triples:
                     if not (a in range(n) and b in range(n)):
                         raise ModuleFormatError(
                             f"T_{i}{j} entry ({a}, {b}) outside dimension {n}")
                     if x not in parsed:
                         parsed[x] = rat(x)
-                    M[a][b] = parsed[x]
-            T[i - 1][j - 1] = OperatorPoly(mats, (bar(i) + bar(j)) % 2).trim()
+                        if not parsed[x]:
+                            raise ModuleFormatError(
+                                f"T_{i}{j} entry ({a}, {b}) is listed as 0")
+                    R[a][b] = parsed[x]
+            T[i - 1][j - 1] = OperatorPoly.from_rows(
+                rows, (bar(i) + bar(j)) % 2).trim()
     c = RatFunc(UniPoly([rat(x) for x in d["c"]["num"]]),
                 UniPoly([rat(x) for x in d["c"]["den"]]))
     highest = d["highest_index"]

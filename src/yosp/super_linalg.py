@@ -2,8 +2,8 @@
 
 Basis indices run over 1, 2, 3 with parities bar(1)=bar(3)=1, bar(2)=0
 (the middle vector is even), signs theta = (1, 1, -1), and the index
-involution i -> i' = 4 - i.  All operators are stored as plain rational
-matrices; the Koszul signs live in the tensor product's Kronecker step
+involution i -> i' = 4 - i.  Operators are stored as sparse rational rows
+(OperatorPoly); the Koszul signs live in the tensor product's Kronecker step
 (hopf_tensor) and in the two-leg encodings of P, Q and R(u), so there is
 exactly one place where sign conventions can go wrong and the RTT verifier
 will catch it there.
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Tuple
 
-from .exact_arith import KAPPA, Scalar, UniPoly, ZERO, rat
-from ._linalg import eye, mat_add, mat_scale, mat_sub, transpose, zeros
+from .exact_arith import KAPPA, Scalar, UniPoly, rat
+from ._linalg import (add_multiple, eye, mat_add, mat_scale, mat_sub,
+                      sparse_vec, zeros)
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
 THETA = (None, 1, 1, -1)
@@ -109,61 +110,68 @@ def build_P_Q_R():
     return P, Q, [c0, c1, c2]
 
 
-def _row_nonzeros(M):
-    """Per row, the (column, entry) pairs of the nonzero entries; testing
-    `x is ZERO` first skips the shared zero without a Scalar method call."""
-    return [[(b, x) for b, x in enumerate(row) if x is not ZERO and x]
-            for row in M]
-
-
 class OperatorPoly:
-    """Operator-valued polynomial in u: a list of plain matrix coefficients
-    (ascending powers) sharing one operator parity.  Entries are Scalars;
-    the algebra below touches only the nonzero ones."""
+    """Operator-valued polynomial in u sharing one operator parity.
 
-    __slots__ = ("coeffs", "op_parity")
+    rows[k] holds the u^k coefficient (ascending powers) as sparse rows: one
+    {column: entry} dict per row, with no zero ever stored.  The dense forms
+    are views at the boundary: the constructor takes dense matrices, and
+    `coeffs`, `coeff(k)` and `eval(x)` return them.
+    """
+
+    __slots__ = ("rows", "op_parity")
 
     def __init__(self, coeffs, op_parity: int):
-        self.coeffs = [[list(row) for row in M] for M in coeffs]
+        self.rows = [[sparse_vec(row) for row in M] for M in coeffs]
         self.op_parity = op_parity % 2
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    @classmethod
+    def from_rows(cls, rows, op_parity: int) -> "OperatorPoly":
+        """The operator with these sparse rows, adopted without a copy."""
+        op = cls.__new__(cls)
+        op.rows = rows
+        op.op_parity = op_parity % 2
+        return op
 
     @property
     def dim(self) -> int:
-        return len(self.coeffs[0])
+        return len(self.rows[0])
+
+    @property
+    def coeffs(self):
+        """The coefficients as dense matrices."""
+        return [self.coeff(k) for k in range(len(self.rows))]
 
     def coeff(self, k: int):
-        return self.coeffs[k] if k < len(self.coeffs) else zeros(self.dim)
+        """The u^k coefficient as a dense matrix."""
+        out = zeros(self.dim)
+        for o, row in zip(out, self.rows[k] if k < len(self.rows) else ()):
+            for b, x in row.items():
+                o[b] = x
+        return out
 
     def eval(self, u0):
+        """The dense matrix sum_k coeff(k) u0^k."""
         u0 = rat(u0)
-        acc = [[x for x in row] for row in self.coeffs[-1]]
-        for M in reversed(self.coeffs[:-1]):
-            acc = mat_add(mat_scale(acc, u0), M)
-        return acc
+        return self._combine(1, [(R, [(0, u0 ** k)])
+                                 for k, R in enumerate(self.rows)]).coeff(0)
 
     def _combine(self, n: int, terms):
-        """The n coefficients out[k] = sum of c * M over the terms
-        (M, [(k, c), ...]), visiting only the nonzero entries of each M."""
-        out = [zeros(self.dim) for _ in range(n)]
-        for M, targets in terms:
-            targets = [(out[k], 1 if c == 1 else -1 if c == -1 else 0, c)
-                       for k, c in targets if c]
-            for a, row in enumerate(_row_nonzeros(M)):
-                for b, x in row:
-                    for O, s, c in targets:
-                        y = x if s == 1 else -x if s == -1 else c * x
-                        v = O[a][b]
-                        O[a][b] = v + y if v else y
-        return OperatorPoly(out, self.op_parity)
+        """The n coefficients out[k] = sum of c * R over the terms
+        (R, [(k, c), ...]) of sparse rows R."""
+        out = [[{} for _ in range(self.dim)] for _ in range(n)]
+        for R, targets in terms:
+            for k, c in targets:
+                if c:
+                    for o, row in zip(out[k], R):
+                        if row:
+                            add_multiple(o, c, row)
+        return OperatorPoly.from_rows(out, self.op_parity)
 
     def __add__(self, other):
-        return self._combine(max(len(self.coeffs), len(other.coeffs)),
-                             [(M, [(k, 1)]) for k, M in enumerate(self.coeffs)]
-                             + [(M, [(k, 1)]) for k, M in enumerate(other.coeffs)])
+        return self._combine(max(len(self.rows), len(other.rows)),
+                             [(R, [(k, 1)]) for k, R in enumerate(self.rows)]
+                             + [(R, [(k, 1)]) for k, R in enumerate(other.rows)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -173,20 +181,20 @@ class OperatorPoly:
 
     def scale(self, c):
         c = rat(c)
-        return self._combine(len(self.coeffs),
-                             [(M, [(k, c)]) for k, M in enumerate(self.coeffs)])
+        return self._combine(len(self.rows),
+                             [(R, [(k, c)]) for k, R in enumerate(self.rows)])
 
     def mul_poly(self, p: UniPoly):
-        return self._combine(len(self.coeffs) + p.degree,
-                             [(M, [(k + l, c) for l, c in enumerate(p.coeffs)])
-                              for k, M in enumerate(self.coeffs)])
+        return self._combine(len(self.rows) + p.degree,
+                             [(R, [(k + l, c) for l, c in enumerate(p.coeffs)])
+                              for k, R in enumerate(self.rows)])
 
     def _substitute(self, s: int, a):
         """u -> s u + a: u^m becomes sum_k C(m,k) s^k a^(m-k) u^k."""
         a = rat(a)
-        return self._combine(len(self.coeffs), [
-            (M, [(k, comb(m, k) * s ** k * a ** (m - k)) for k in range(m + 1)])
-            for m, M in enumerate(self.coeffs)])
+        return self._combine(len(self.rows), [
+            (R, [(k, comb(m, k) * s ** k * a ** (m - k)) for k in range(m + 1)])
+            for m, R in enumerate(self.rows)])
 
     def shift(self, a):
         """Substitute u -> u + a."""
@@ -198,41 +206,30 @@ class OperatorPoly:
 
     def bracket_const(self, M, m_parity: int):
         """[self(u), M] = C M - (-1)^{|C||M|} M C for each coefficient C
-        (super-bracket), both products formed from nonzero rows only."""
+        (super-bracket) and a dense matrix M, formed row by row."""
         sign = 1 if (self.op_parity and m_parity) else -1
-        M_rows = _row_nonzeros(M)
-        out = [[[ZERO] * len(M) for _ in M] for _ in self.coeffs]
-        for R, C in zip(out, self.coeffs):
-            C_rows = _row_nonzeros(C)
-            for left, right, s in ((C_rows, M_rows, 1), (M_rows, C_rows, sign)):
-                for a, row in enumerate(left):
-                    for j, x in row:
-                        for b, y in right[j]:
-                            p = x * y if s == 1 else -(x * y)
-                            v = R[a][b]
-                            R[a][b] = v + p if v else p
-        return OperatorPoly(out, (self.op_parity + m_parity) % 2)
-
-    def transpose_mats(self):
-        return OperatorPoly([transpose(M) for M in self.coeffs], self.op_parity)
+        M_rows = [sparse_vec(row) for row in M]
+        out = []
+        for C in self.rows:
+            R = [{} for _ in C]
+            for left, right, s in ((C, M_rows, 1), (M_rows, C, sign)):
+                for o, row in zip(R, left):
+                    for j, x in row.items():
+                        add_multiple(o, x if s == 1 else -x, right[j])
+            out.append(R)
+        return OperatorPoly.from_rows(out, (self.op_parity + m_parity) % 2)
 
     def trim(self):
-        cs = list(self.coeffs)
-        while len(cs) > 1 and not any(any(row) for row in cs[-1]):
-            cs.pop()
-        return OperatorPoly(cs, self.op_parity)
+        rows = list(self.rows)
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+        return OperatorPoly.from_rows(rows, self.op_parity)
 
     def __eq__(self, other):
-        a, b = self.trim(), other.trim()
-        return a.coeffs == b.coeffs
+        return self.trim().rows == other.trim().rows
 
     def parity_violations(self, space: GradedSpace):
         """List of (a, b) where a nonzero entry breaks the parity grading."""
-        bad = []
-        for M in self.coeffs:
-            for a, row in enumerate(M):
-                for b, x in enumerate(row):
-                    if x != 0 and (space.parity[a] + space.parity[b]
-                                   + self.op_parity) % 2:
-                        bad.append((a, b))
-        return bad
+        return [(a, b) for R in self.rows for a, row in enumerate(R)
+                for b in row
+                if (space.parity[a] + space.parity[b] + self.op_parity) % 2]

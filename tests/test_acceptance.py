@@ -5,12 +5,14 @@ import random
 import pytest
 
 from yosp.exact_arith import HALF, RatFunc, UniPoly, ZERO, ONE, rat
-from yosp._linalg import Span, mat_vec
+from yosp._linalg import Span
 from yosp.rep_core import (build_elementary, build_small_verma,
                            vector_representation)
 from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
 from yosp import analysis as an
+
+from dense import mat_vec
 
 
 def _report(num, desc, ok):

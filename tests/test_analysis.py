@@ -7,12 +7,14 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from yosp.exact_arith import HALF, KAPPA, RatFunc, UniPoly, ZERO, ONE, rat
-from yosp._linalg import SingularMatrix, mat_mul, mat_vec
+from yosp._linalg import SingularMatrix, mat_mul
 from yosp.rep_core import (build_elementary, build_small_verma,
                            vector_representation)
 from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
 from yosp import analysis as an
+
+from dense import mat_vec
 
 
 def _unit(m, label):
@@ -148,6 +150,21 @@ def test_tii_eigenvalues_on_zeta():
                      UniPoly.from_roots([rat(3, 2), rat(3, 2)]))
     assert an.tii_eigenvalue(tp, z, 1) == target
     assert an.tii_eigenvalue(tp, z, 2) == target
+
+
+def test_tii_eigenvalue_rejects_a_non_eigenvector():
+    """xi_00 + xi_01 mixes two t_11 eigenvalues; so does zeta plus the
+    highest vector of the example tensor."""
+    m = build_elementary(rat(-2), rat(0))
+    v = [a + b for a, b in zip(_unit(m, ((0, 0),)), _unit(m, ((0, 1),)))]
+    with pytest.raises(ValueError, match="eigenvector"):
+        an.tii_eigenvalue(m, v, 1)
+    tp = _example_tensor()
+    z = _zeta(tp)
+    z[tp.highest_index] += ONE
+    for i in (1, 2):
+        with pytest.raises(ValueError, match="eigenvector"):
+            an.tii_eigenvalue(tp, z, i)
 
 
 def test_cyclic_span_of_highest_vector_fills_irreducible():

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -166,6 +168,11 @@ def _not_rational(d):
     return d
 
 
+def _zero_entry(d):
+    d["T"]["21"][0].append([0, 0, "0/5"])
+    return d
+
+
 def _extra_coefficient(d):
     d["T"]["11"].append([])
     return d
@@ -181,9 +188,10 @@ def _extra_coefficient(d):
     (_index_out_of_range, "outside dimension 3"),
     (_not_rational, "p/0"),
     (_extra_coefficient, "coefficients"),
+    (_zero_entry, "listed as 0"),
 ], ids=["empty-object", "no-format", "format-1", "unknown-format",
         "missing-key", "deleted-basis-entry", "index-out-of-range",
-        "not-rational", "extra-coefficient"])
+        "not-rational", "extra-coefficient", "zero-entry"])
 def test_malformed_module_file_is_a_usage_error(tmp_path, capsys, corrupt,
                                                 message):
     mod = tmp_path / "m.json"
@@ -244,3 +252,50 @@ def test_failed_check_exits_1(tmp_path, capsys, build, argv, corrupt, message):
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL: ") and message in captured.out
     assert captured.err == ""
+
+
+# A module file that cannot be read or written is a usage error.
+
+@pytest.mark.parametrize("argv", [
+    ["irreducible", "missing.json"],
+    ["verify", "rtt", "."],
+    ["elementary", "--alpha", "-1", "--beta", "0", "--out", "nodir/m.json"],
+], ids=["missing-file", "directory", "missing-out-directory"])
+def test_file_error_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and "FAIL" not in captured.out
+
+
+def test_tensor_of_one_module_is_a_usage_error(tmp_path, capsys):
+    mod = str(tmp_path / "m.json")
+    assert main(["elementary", "--alpha", "-1", "--beta", "0",
+                 "--out", mod]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.json"
+    assert main(["tensor", "--in", mod, "--out", str(out)]) == 2
+    assert "at least two modules" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The lines of README.md's command-line block, as argv lists."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.strip()]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of README's block exits 0, run in order in one directory."""
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 10 and all(argv for argv in commands)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "P(u) = (u-2)(u-1)" in out and "V(2) + V(0)" in out
+    assert "singular space dim 2" in out and "irreducible: True" in out

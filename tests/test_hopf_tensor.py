@@ -1,12 +1,13 @@
 """Tests for tensor products, highest weights, and duals."""
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from yosp import analysis as an
 from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
 from yosp._linalg import zeros
 from yosp.rep_core import (apply_twist, build_elementary, build_small_verma,
-                           load_module, save_module)
+                           load_module, save_module, to_json_dict)
 from yosp.hopf_tensor import (DepthMismatch, HighestWeight, InfiniteDual,
                               NoHighestVector, _kron_accumulate,
                               central_from_hw, dual_module, elementary_hw,
@@ -132,8 +133,8 @@ def test_dual_of_tensor_factors():
 
 def test_kron_accumulate_koszul_sign():
     """Odd (x) odd acquires a sign on the odd source column of the first leg."""
-    X = [[ZERO, ONE], [ONE, ZERO]]
-    K = _kron_accumulate(zeros(4), X, X, 1, (0, 1))
+    X = [{1: ONE}, {0: ONE}]
+    K = _kron_accumulate([{} for _ in range(4)], X, X, 1, (0, 1))
     # columns whose first slot is the odd vector pick up the sign
     assert K[1][2] == -1
     assert K[0][3] == -1
@@ -229,3 +230,35 @@ def test_truncated_tensor_file_round_trip(tmp_path):
         for j in range(1, 4):
             assert back.op(i, j).coeffs == tp.op(i, j).coeffs
             assert back.op(i, j).op_parity == tp.op(i, j).op_parity
+
+
+def _stores_no_zero(m):
+    return all(x for row in m.T for op in row for R in op.rows
+               for r in R for x in r.values())
+
+
+_elementary = st.builds(
+    lambda a, q, k: build_elementary(rat(a, q), rat(a, q) + k),
+    st.integers(-5, 3), st.integers(1, 3), st.integers(0, 2))
+
+
+# No shrink phase: shrinking a failure through module builds takes minutes.
+@settings(max_examples=15, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_elementary, _elementary, st.integers(0, 35))
+def test_tensor_dual_and_quotient_store_no_zero(a, b, i):
+    """No zero in the operators of a tensor product, its dual and its
+    quotient by the submodule a basis vector generates, nor in their files,
+    which list entries in row-major order."""
+    t = tensor_modules(a, b)
+    results = [t, dual_module(t)]
+    span = an.cyclic_span(t, [ONE if k == i % t.dim else ZERO
+                              for k in range(t.dim)])
+    if span.dim < t.dim:
+        results.append(an.quotient_module(t, span))
+    for m in results:
+        assert _stores_no_zero(m)
+        coeffs = [c for cs in to_json_dict(m)["T"].values() for c in cs]
+        # each coefficient lists its nonzero entries in row-major order
+        assert all(c == sorted(c, key=lambda x: x[:2]) for c in coeffs)
+        assert any(coeffs) and all(x[2] != "0" for c in coeffs for x in c)

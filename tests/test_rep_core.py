@@ -5,12 +5,13 @@ import json
 import pytest
 
 from yosp.exact_arith import HALF, KAPPA, ONE, RatFunc, UniPoly, ZERO, rat
-from yosp._linalg import mat_vec
 from yosp.rep_core import (MissingDepth, ModuleRep, apply_twist,
                            build_elementary, build_small_verma,
                            central_ratfunc, from_json_dict, load_module,
                            save_module, small_verma_denominator, to_json_dict,
                            vector_representation)
+
+from dense import mat_vec
 
 
 def _label_index(m, label):

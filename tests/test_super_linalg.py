@@ -237,3 +237,37 @@ def test_bracket_const_matches_dense_oracle(data):
     B = A.bracket_const(M, m_parity)
     assert B.coeffs == oracle_bracket(A, M, m_parity)
     assert B.op_parity == (A.op_parity + m_parity) % 2
+
+
+# ---------------------------------------------------------------------------
+# The representation's invariant: an operator stores sparse rows and never a
+# zero, whatever cancels.
+# ---------------------------------------------------------------------------
+
+def stores_no_zero(op):
+    return all(x for R in op.rows for row in R for x in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_operation_stores_a_zero(data):
+    dim, (A, B) = data.draw(sparse_ops())
+    c = data.draw(_scalars)
+    p = data.draw(st.lists(_scalars, min_size=1, max_size=3))
+    p = UniPoly(p) if any(p) else UniPoly([ONE])
+    M = data.draw(sparse_matrix(dim))
+    results = [A, B, A + B, A - B, -A, A.scale(c), A.scale(0), A.mul_poly(p),
+               A.shift(c), A.reflect(c), A.bracket_const(M, 1),
+               A.bracket_const(M, 0), A.trim(), (A + B).trim()]
+    assert all(stores_no_zero(op) for op in results)
+    # A - A cancels every entry: nothing is left stored
+    assert (A - A).rows == [[{} for _ in range(dim)] for _ in A.rows]
+    assert len((A - A).trim().rows) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_ops(count=1))
+def test_dense_view_round_trips(dim_ops):
+    _, (A,) = dim_ops
+    assert OperatorPoly(A.coeffs, A.op_parity).coeffs == A.coeffs
+    assert OperatorPoly(A.coeffs, A.op_parity).rows == A.rows
