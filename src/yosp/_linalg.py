@@ -1,7 +1,7 @@
-"""Exact linear algebra over the rationals: dense matrix products, sparse
-rows ({column: nonzero entry} dicts) and their products with sparse vectors,
-and row reduction (rank, kernels, inverses, spans) through one sparse
-echelon Span."""
+"""Exact linear algebra over the rationals.  Vectors and matrix rows are
+sparse {index: nonzero entry} dicts; row reduction (rank, kernels, inverses,
+spans) runs through one sparse echelon Span.  Dense matrices serve only the
+Gauss spot check, the R-matrix constant and OperatorPoly's dense views."""
 
 from __future__ import annotations
 
@@ -91,13 +91,9 @@ def sparse_mat_vec(rows, v):
     return out
 
 
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def rref(rows):
-    """Reduced row echelon form: (its nonzero rows, their pivot columns)."""
-    span = Span(len(rows[0]) if rows else 0)
+    """Reduced row echelon form of sparse rows: (nonzero rows, pivots)."""
+    span = Span()
     for r in rows:
         span.add(r)
     return span.basis(), span.pivots()
@@ -107,32 +103,30 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(A):
-    """Basis of {v : A v = 0} with free variables set to 1, as a list of vectors."""
-    if not A:
-        return []
-    m = len(A[0])
-    R, pivots = rref(A)
+def nullspace(rows, width: int):
+    """Basis of {v : A v = 0} for A as sparse rows over `width` columns: a
+    sparse vector per free column, 1 there and 0 at the other free columns."""
+    R, pivots = rref(rows)
     pivset = set(pivots)
     basis = []
-    for free in range(m):
+    for free in range(width):
         if free in pivset:
             continue
-        v = [ZERO] * m
-        v[free] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][free]
+        v = {free: ONE}
+        for r, p in zip(R, pivots):
+            if free in r:
+                v[p] = -r[free]
         basis.append(v)
     return basis
 
 
 def inverse(A):
+    """A^{-1} for a dense square A, dense, from the sparse rows of [A | I]."""
     n = len(A)
-    aug = [list(row) + list(e) for row, e in zip(A, eye(n))]
-    R, pivots = rref(aug)
+    R, pivots = rref([{**sparse_vec(row), n + i: ONE} for i, row in enumerate(A)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix not invertible")
-    return [row[n:] for row in R[:n]]
+    return [[row.get(n + c, ZERO) for c in range(n)] for row in R[:n]]
 
 
 class Span:
@@ -140,14 +134,13 @@ class Span:
     at a time: each row is a sparse {column: entry} dict, 1 at its pivot (its
     first column) and with no entry at another row's pivot."""
 
-    def __init__(self, dim: int):
-        self.ambient_dim = dim
+    def __init__(self):
         self._rows = {}  # pivot column -> sparse row
 
     def reduce(self, v):
         """v modulo the span, as a sparse dict with no entry at a pivot; v is
-        a dense sequence or a sparse {column: entry} dict without zeros."""
-        r = dict(v) if isinstance(v, dict) else sparse_vec(v)
+        a sparse {column: entry} dict without zeros."""
+        r = dict(v)
         # Subtracting a row adds no entry at a pivot: only v's pivots matter.
         for p in [c for c in r if c in self._rows]:
             add_multiple(r, -r[p], self._rows[p])
@@ -178,6 +171,5 @@ class Span:
         return sorted(self._rows)
 
     def basis(self):
-        """The rows, dense, in pivot order."""
-        return [[self._rows[p].get(c, ZERO) for c in range(self.ambient_dim)]
-                for p in self.pivots()]
+        """Copies of the rows, in pivot order (add edits its rows in place)."""
+        return [dict(self._rows[p]) for p in self.pivots()]

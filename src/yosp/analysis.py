@@ -12,16 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_arith import (HALF, KAPPA, ONE, PoleError, RatFunc, Scalar,
-                          UniPoly, ZERO, rat, rat_str)
-from ._linalg import (SingularMatrix, Span, eye, inverse, mat_eq, mat_mul,
-                      mat_scale, mat_sub, nullspace, rank, sparse_mat_vec,
-                      sparse_vec)
+from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
+                          rat, rat_str)
+from ._linalg import (SingularMatrix, Span, add_multiple, eye, inverse,
+                      mat_mul, mat_scale, mat_sub, nullspace, rank,
+                      sparse_mat_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import ModuleRep, to_json_dict
@@ -54,10 +54,10 @@ class WeightMismatch(ArithmeticError):
 
 @dataclass
 class Subspace:
-    """An exact subspace of a module's underlying space (row-vector basis)."""
+    """A subspace of a module's space; basis vectors are sparse {index: entry} dicts."""
 
     ambient: "object"
-    basis: List[List[Scalar]]
+    basis: List[Dict[int, Scalar]]
 
     @property
     def dim(self) -> int:
@@ -223,7 +223,7 @@ def _first_mismatch(lhs, rhs, cols):
     return t, cols[s]
 
 
-def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0) -> dict:
+def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on a sample grid.
 
     Both sides are polynomials of degree <= deg d + 2 in each variable after
@@ -235,8 +235,6 @@ def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0) -> dict:
     """
     D = m.denom.degree
     side = D + 3
-    while side * side < n_samples:
-        side += 1
     rng = random.Random(seed)
     base = rng.randint(-6, 6)
     droots = [-f.alpha + HALF for f in m.factors] + [-f.beta for f in m.factors]
@@ -292,14 +290,14 @@ def verify_rtt(m: ModuleRep, n_samples: int = 0, seed: int = 0) -> dict:
             "backend": Scalar.__qualname__, "result": "pass"}
 
 
-def verify_central(m: ModuleRep, n_samples: int = 0, seed: int = 0) -> dict:
+def verify_central(m: ModuleRep, seed: int = 0) -> dict:
     """Certify T(u-kappa) T^t(u) = c(u) d(u-kappa) d(u) identity at samples.
 
     Raises RelationViolation with a witness on failure and TruncatedInput
     when no column lies below the margin.
     """
     D = m.denom.degree
-    count = max(2 * D + 3, n_samples)
+    count = 2 * D + 3
     rng = random.Random(seed)
     base = rng.randint(-6, 6)
     bad = []
@@ -356,22 +354,18 @@ def _t_blocks_at(m: ModuleRep, x) -> List[List[List[List[Scalar]]]]:
 def _gauss_at(m: ModuleRep, x):
     """Gaussian generators at the point x via Schur complements."""
     t = _t_blocks_at(m, x)
-    n = m.dim
     h1 = t[0][0]
     h1i = inverse(h1)
     e12 = mat_mul(h1i, t[0][1])
+    e13 = mat_mul(h1i, t[0][2])
     f21 = mat_mul(t[1][0], h1i)
-    h2 = mat_sub(t[1][1], mat_mul(t[1][0], mat_mul(h1i, t[0][1])))
+    h2 = mat_sub(t[1][1], mat_mul(t[1][0], e12))
     h2i = inverse(h2)
-    e23 = mat_mul(h2i, mat_sub(t[1][2], mat_mul(t[1][0], mat_mul(h1i, t[0][2]))))
-    f32 = mat_mul(mat_sub(t[2][1], mat_mul(t[2][0], mat_mul(h1i, t[0][1]))), h2i)
+    r23 = mat_sub(t[1][2], mat_mul(t[1][0], e13))
+    e23 = mat_mul(h2i, r23)
+    f32 = mat_mul(mat_sub(t[2][1], mat_mul(t[2][0], e12)), h2i)
     # h3 = t_33 - [t_31 t_32] [[t_11 t_12],[t_21 t_22]]^{-1} [t_13; t_23]
-    big = [t[0][0][a] + t[0][1][a] for a in range(n)] + \
-          [t[1][0][a] + t[1][1][a] for a in range(n)]
-    bigi = inverse(big)
-    right = [t[0][2][a] for a in range(n)] + [t[1][2][a] for a in range(n)]
-    left = [t[2][0][a] + t[2][1][a] for a in range(n)]
-    h3 = mat_sub(t[2][2], mat_mul(left, mat_mul(bigi, right)))
+    h3 = mat_sub(mat_sub(t[2][2], mat_mul(t[2][0], e13)), mat_mul(f32, r23))
     return {"h1": h1, "h2": h2, "h3": h3, "e12": e12, "e23": e23,
             "f21": f21, "f32": f32}
 
@@ -390,13 +384,13 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
     g32 = _gauss_at(m, u0 + rat(3, 2))
     n = m.dim
     checks = {}
-    checks["ef_e"] = mat_eq(g0["e12"], mat_scale(g_half["e23"], -1))
-    checks["ef_f"] = mat_eq(g0["f21"], g_half["f32"])
-    checks["hoht"] = mat_eq(mat_mul(g0["h1"], g_half["h3"]),
-                            mat_mul(g0["h2"], g_half["h2"]))
+    checks["ef_e"] = g0["e12"] == mat_scale(g_half["e23"], -1)
+    checks["ef_f"] = g0["f21"] == g_half["f32"]
+    checks["hoht"] = (mat_mul(g0["h1"], g_half["h3"])
+                      == mat_mul(g0["h2"], g_half["h2"]))
     cu = mat_mul(mat_mul(g0["h1"], inverse(g1["h1"])),
                  mat_mul(g1["h2"], g32["h2"]))
-    checks["cu"] = mat_eq(cu, mat_scale(eye(n), m.c(u0)))
+    checks["cu"] = cu == mat_scale(eye(n), m.c(u0))
     if not all(checks.values()):
         failed = [k for k, v in checks.items() if not v]
         raise RelationViolation(f"Gauss relations fail at u0={u0}: {failed}",
@@ -411,41 +405,42 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 
 def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
     """The sparse-row u-coefficients of every T_ij (i < j when upper_only)."""
-    out = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if upper_only and i >= j:
-                continue
-            out.extend(m.op(i, j).rows)
-    return out
+    return [R for i in range(1, 4) for j in range(1, 4)
+            if i < j or not upper_only for R in m.op(i, j).rows]
+
+
+def _restrict(rows, idxs):
+    """Sparse rows cut to the columns idxs, renumbered 0, 1, ...; empty rows dropped."""
+    pos = {c: k for k, c in enumerate(idxs)}
+    out = ({pos[c]: x for c, x in row.items() if c in pos} for row in rows)
+    return [r for r in out if r]
+
+
+def _sparse_input(v) -> Dict[int, Scalar]:
+    """A caller's {index: entry} vector as Scalars, its zero entries dropped."""
+    return {i: y for i, x in v.items() if (y := rat(x))}
 
 
 def singular_vectors(m: ModuleRep) -> Subspace:
-    """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by weight."""
-    raising = _coeff_matrices(m, upper_only=True)
+    """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by
+    weight, as sparse vectors: one per free index of each weight space."""
+    raising = [row for R in _coeff_matrices(m, upper_only=True) for row in R]
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
     by_weight = m.space.weight_spaces()
     for w in sorted(by_weight, reverse=True):
         idxs = [i for i in by_weight[w] if i in cols_ok]
-        if not idxs:
-            continue
-        rows = [[row.get(s, ZERO) for s in idxs] for R in raising
-                for row in R if any(s in row for s in idxs)]
-        if not rows:
-            rows = [[ZERO] * len(idxs)]
-        for v in nullspace(rows):
-            full = [ZERO] * m.dim
-            for x, i in zip(v, idxs):
-                full[i] = x
-            basis.append(full)
+        for v in nullspace(_restrict(raising, idxs), len(idxs)):
+            basis.append({idxs[k]: x for k, x in v.items()})
     return Subspace(m.space, basis)
 
 
-def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
-    """Closure of span{v} under all coefficient matrices of all nine T_ij."""
-    v = sparse_vec(rat(x) for x in v)
-    span = Span(m.dim)
+def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
+    """Closure of span{v} under all coefficient matrices of all nine T_ij,
+    with its reduced echelon basis; v is a sparse {basis index: entry} dict.
+    ValueError when v is zero."""
+    v = _sparse_input(v)
+    span = Span()
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
     mats = _coeff_matrices(m)
@@ -463,14 +458,13 @@ def cyclic_span(m: ModuleRep, v: Sequence) -> Subspace:
 
 def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     """Induced action on the complement of an invariant subspace."""
-    span = Span(m.dim)
-    basis = [sparse_vec(b) for b in k.basis]
-    for b in basis:
+    span = Span()
+    for b in k.basis:
         if len({m.space.weight[i] for i in b}) > 1:
             raise ValueError("subspace basis must be weight-homogeneous")
         span.add(b)
     for R in _coeff_matrices(m):
-        for b in basis:
+        for b in k.basis:
             if not span.contains(sparse_mat_vec(R, b)):
                 raise NotInvariant("subspace is not stable under the action")
     pivots = set(span.pivots())
@@ -513,21 +507,22 @@ def is_irreducible(m: ModuleRep):
     if m.truncated:
         raise TruncatedInput("irreducibility is undecidable under truncation")
     sing = singular_vectors(m)
-    span = cyclic_span(m, [ONE if i == m.highest_index else ZERO
-                           for i in range(m.dim)])
+    span = cyclic_span(m, {m.highest_index: ONE})
     ok = sing.dim == 1 and span.dim == m.dim
     cert = {"singular_dim": sing.dim, "cyclic_dim": span.dim, "dim": m.dim}
     if sing.dim > 1:
-        wit = next(b for b in sing.basis
-                   if any(x != 0 for i, x in enumerate(b)
-                          if i != m.highest_index))
-        cert["witness"] = [rat_str(x) for x in wit]
+        wit = next(b for b in sing.basis if b.keys() - {m.highest_index})
+        cert["witness"] = [rat_str(wit.get(i, ZERO)) for i in range(m.dim)]
     return ok, cert
 
 
-def tii_eigenvalue(m: ModuleRep, v: Sequence, i: int) -> RatFunc:
-    """The eigenvalue of t_ii(u) on a common eigenvector v, as a RatFunc."""
-    v = sparse_vec(rat(x) for x in v)
+def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
+    """The eigenvalue of t_ii(u) on a common eigenvector v, a sparse
+    {basis index: entry} dict, as a RatFunc; ValueError when v is zero or
+    not an eigenvector of every coefficient of T_ii(u)."""
+    v = _sparse_input(v)
+    if not v:
+        raise ValueError("eigenvalue of the zero vector")
     pivot = min(v)
     cs = []
     for R in m.op(i, i).rows:
@@ -602,8 +597,8 @@ def _poly_rational_roots(p: UniPoly):
 
 
 def _find_rational_root(p: UniPoly) -> Optional[Scalar]:
-    L = lcm(*(int(c.denominator) for c in p.coeffs))
-    ints = [int(c.numerator) * (L // int(c.denominator)) for c in p.coeffs]
+    L = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (L // c.denominator) for c in p.coeffs]
     a0, an = ints[0], ints[-1]
     if a0 == 0:
         return ZERO
@@ -651,10 +646,10 @@ def drinfeld_polynomial(hw: HighestWeight) -> DrinfeldPoly:
         raise NotDominant("irrational roots cannot form integer strings")
     by_coset: Dict[Scalar, Tuple[List[Scalar], List[Scalar]]] = {}
     for r in _expand(nroots):
-        key = r - (int(r.numerator) // int(r.denominator))
+        key = r - r.numerator // r.denominator
         by_coset.setdefault(key, ([], []))[0].append(r)
     for r in _expand(droots):
-        key = r - (int(r.numerator) // int(r.denominator))
+        key = r - r.numerator // r.denominator
         by_coset.setdefault(key, ([], []))[1].append(r)
     proots: List[Scalar] = []
     for key, (ns, ds) in by_coset.items():
@@ -732,12 +727,14 @@ def char_small_verma(levels: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def _emb_matrix(m: ModuleRep, i: int, j: int):
-    """F_ij = (t_ij^(1) - st_sign(i, j) t_{j'i'}^(1)) (-1)^{bar i} / 2."""
-    A = m.t_first(i, j)
-    B = m.t_first(iprime(j), iprime(i))
-    out = mat_sub(A, mat_scale(B, st_sign(i, j)))
+    """Sparse rows of F_ij = (t_ij^(1) - st_sign(i,j) t_{j'i'}^(1)) (-1)^{bar i} / 2."""
     sign = HALF if bar(i) == 0 else -HALF
-    return mat_scale(out, sign)
+    out = [{} for _ in range(m.dim)]
+    for R, c in ((m.t_first(i, j), sign),
+                 (m.t_first(iprime(j), iprime(i)), -st_sign(i, j) * sign)):
+        for o, row in zip(out, R):
+            add_multiple(o, c, row)
+    return out
 
 
 def osp_action(m: ModuleRep):
@@ -751,19 +748,18 @@ def osp_action(m: ModuleRep):
     F11 = _emb_matrix(m, 1, 1)
     F12 = _emb_matrix(m, 1, 2)
     F21 = _emb_matrix(m, 2, 1)
-    for a in range(m.dim):
-        for b in range(m.dim):
-            want = m.space.weight[a] if a == b else ZERO
-            if F11[a][b] != want:
+    for a, row in enumerate(F11):
+        for b in sorted(row.keys() | {a}):
+            got, want = row.get(b, ZERO), m.space.weight[a] if a == b else ZERO
+            if got != want:
                 raise WeightMismatch(
-                    f"F_11 entry ({a},{b}) = {F11[a][b]}, expected {want}")
+                    f"F_11 entry ({a},{b}) = {got}, expected {want}")
     by_weight = m.space.weight_spaces()
     decomp: Dict[Scalar, int] = {}
     for w, idxs in by_weight.items():
         if w < 0:
             continue
-        rows = [[F12[t][s] for s in idxs] for t in range(m.dim)]
-        mult = len(idxs) - rank(rows)
+        mult = len(idxs) - rank(_restrict(F12, idxs))
         if mult:
             decomp[w] = mult
     total = sum(mult * (2 * int(w) + 1) for w, mult in decomp.items())

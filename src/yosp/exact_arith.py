@@ -1,18 +1,13 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
 Everything here is over the rationals, with no rounding anywhere.  The scalar
-type is gmpy2's mpq when the optional gmpy2 is installed and
-fractions.Fraction otherwise; both print as "p/q".
+type is fractions.Fraction, which prints as "p/q".
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Scalar
 from typing import Iterable
-
-try:
-    from gmpy2 import mpq as Scalar
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Scalar
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -125,22 +120,21 @@ class UniPoly:
             acc = acc * u0 + c
         return acc
 
+    def _substitute(self, s: int, a) -> "UniPoly":
+        """u -> s u + a, by Horner's rule from the top coefficient down."""
+        lin = UniPoly([a, s])
+        out = UniPoly()
+        for c in reversed(self.coeffs):
+            out = out * lin + UniPoly.const(c)
+        return out
+
     def shift(self, a) -> "UniPoly":
         """Substitute u -> u + a."""
-        a = rat(a)
-        out = UniPoly()
-        # Horner in the shifted variable: p(u+a) built from the top down.
-        for c in reversed(self.coeffs):
-            out = out * UniPoly([a, ONE]) + UniPoly.const(c)
-        return out
+        return self._substitute(1, a)
 
     def reflect(self, c=ZERO) -> "UniPoly":
         """Substitute u -> c - u."""
-        c = rat(c)
-        out = UniPoly()
-        for coef in reversed(self.coeffs):
-            out = out * UniPoly([c, -ONE]) + UniPoly.const(coef)
-        return out
+        return self._substitute(-1, c)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():

@@ -13,7 +13,7 @@ u^{deg d} coefficient of T_ii is the identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exact_arith import (DegreeError, HALF, KAPPA, ONE, RatFunc, Scalar,
@@ -74,13 +74,14 @@ class ModuleRep:
         return self.T[i - 1][j - 1]
 
     def t_first(self, i: int, j: int):
-        """Matrix of t_ij^{(1)}, the u^{-1} coefficient of t_ij(u) = T_ij(u)/d(u)."""
+        """Sparse rows of t_ij^{(1)}, the u^{-1} coefficient of T_ij(u)/d(u)."""
         D = self.denom.degree
-        M = self.op(i, j).coeff(D - 1)
-        if i == j and D >= 1:
-            dcoef = self.denom.coeffs[D - 1]
-            for a in range(self.dim):
-                M[a][a] -= dcoef
+        rows = self.op(i, j).rows
+        M = [dict(r) for r in (rows[D - 1] if D <= len(rows) else [{}] * self.dim)]
+        dcoef = self.denom.coeffs[D - 1] if i == j and D else ZERO
+        if dcoef:
+            for a, row in enumerate(M):
+                add_multiple(row, -dcoef, {a: ONE})
         return M
 
     def interior_indices(self, margin: int) -> List[int]:
@@ -183,7 +184,7 @@ def reconstruct_full_T(partial: ModuleRep) -> ModuleRep:
     T11, T12, T21 = m.op(1, 1), m.op(1, 2), m.op(2, 1)
     t12 = m.t_first(1, 2)
     t21 = m.t_first(2, 1)
-    t23 = [[-x for x in row] for row in t12]
+    t23 = [{c: -x for c, x in row.items()} for row in t12]
 
     T31 = T21.bracket_const(t21, 1)                       # {T_21(u), t_21^(1)}
     T22 = T11 - T21.bracket_const(t12, 1)                 # T_11 - {t_12^(1), T_21(u)}

@@ -42,7 +42,7 @@ class GradedSpace:
     dim: int
     parity: Tuple[int, ...]
     weight: Tuple[Scalar, ...]
-    labels: Tuple = ()
+    labels: Tuple
 
     def __post_init__(self):
         assert len(self.parity) == self.dim and len(self.weight) == self.dim
@@ -53,9 +53,7 @@ class GradedSpace:
             for j in range(other.dim):
                 par.append((self.parity[i] + other.parity[j]) % 2)
                 wt.append(self.weight[i] + other.weight[j])
-                la = self.labels[i] if self.labels else ()
-                lb = other.labels[j] if other.labels else ()
-                lab.append(tuple(la) + tuple(lb))
+                lab.append(self.labels[i] + other.labels[j])
         return GradedSpace(self.dim * other.dim, tuple(par), tuple(wt), tuple(lab))
 
     def weight_spaces(self):
@@ -206,13 +204,12 @@ class OperatorPoly:
 
     def bracket_const(self, M, m_parity: int):
         """[self(u), M] = C M - (-1)^{|C||M|} M C for each coefficient C
-        (super-bracket) and a dense matrix M, formed row by row."""
+        (super-bracket) and M given as sparse rows, formed row by row."""
         sign = 1 if (self.op_parity and m_parity) else -1
-        M_rows = [sparse_vec(row) for row in M]
         out = []
         for C in self.rows:
             R = [{} for _ in C]
-            for left, right, s in ((C, M_rows, 1), (M_rows, C, sign)):
+            for left, right, s in ((C, M, 1), (M, C, sign)):
                 for o, row in zip(R, left):
                     for j, x in row.items():
                         add_multiple(o, x if s == 1 else -x, right[j])

@@ -1,5 +1,6 @@
 """Tests for verifiers, submodule structure, criteria, and invariants."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from yosp.exact_arith import HALF, KAPPA, RatFunc, UniPoly, ZERO, ONE, rat
-from yosp._linalg import SingularMatrix, mat_mul
+from yosp._linalg import SingularMatrix, inverse, mat_mul, mat_sub
 from yosp.rep_core import (build_elementary, build_small_verma,
                            vector_representation)
 from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
 from yosp import analysis as an
 
-from dense import mat_vec
+from dense import dense, mat_vec, sparse
 
 
 def _unit(m, label):
@@ -42,9 +43,10 @@ def _zeta(tp):
 # ---------------------------------------------------------------------------
 
 def test_rtt_vector_representation():
-    report = an.verify_rtt(vector_representation(), n_samples=20, seed=1)
+    report = an.verify_rtt(vector_representation(), seed=1)
     assert report["result"] == "pass"
-    assert len(report["samples"]) >= 20
+    # deg d = 2: a (deg d + 3)-point grid on each axis
+    assert report["grid"] == [5, 5] and len(report["samples"]) == 25
 
 
 def test_rtt_elementary_and_truncated():
@@ -108,6 +110,39 @@ def test_gauss_eigenvalues_on_highest_vector():
     assert hw.l1(u0) * hw.l3(u0 + HALF) == hw.l2(u0) * hw.l2(u0 + HALF)
 
 
+def _gauss_reference(m, x):
+    """The Gaussian generators with each Schur complement formed afresh and
+    h_3 = t_33 - [t_31 t_32] [[t_11 t_12], [t_21 t_22]]^{-1} [t_13; t_23]
+    from the inverse of the whole 2n x 2n block matrix."""
+    t = an._t_blocks_at(m, x)
+    n = m.dim
+    h1i = inverse(t[0][0])
+    h2 = mat_sub(t[1][1], mat_mul(t[1][0], mat_mul(h1i, t[0][1])))
+    h2i = inverse(h2)
+    big = [t[0][0][a] + t[0][1][a] for a in range(n)] + \
+          [t[1][0][a] + t[1][1][a] for a in range(n)]
+    right = [t[0][2][a] for a in range(n)] + [t[1][2][a] for a in range(n)]
+    left = [t[2][0][a] + t[2][1][a] for a in range(n)]
+    return {"h1": t[0][0], "h2": h2,
+            "h3": mat_sub(t[2][2], mat_mul(left, mat_mul(inverse(big), right))),
+            "e12": mat_mul(h1i, t[0][1]),
+            "e23": mat_mul(h2i, mat_sub(t[1][2], mat_mul(t[1][0],
+                                                         mat_mul(h1i, t[0][2])))),
+            "f21": mat_mul(t[1][0], h1i),
+            "f32": mat_mul(mat_sub(t[2][1], mat_mul(t[2][0],
+                                                    mat_mul(h1i, t[0][1]))), h2i)}
+
+
+@pytest.mark.parametrize("name,x", [("vector", rat(7)), ("L(-2,0)", rat(13, 3)),
+                                    ("L(-2,0)", rat(-5)), ("example", rat(7)),
+                                    ("example", rat(22, 7))])
+def test_gauss_schur_complements_match_the_block_inverse(name, x):
+    m = {"vector": vector_representation,
+         "L(-2,0)": lambda: build_elementary(rat(-2), rat(0)),
+         "example": _example_tensor}[name]()
+    assert an._gauss_at(m, x) == _gauss_reference(m, x)
+
+
 # ---------------------------------------------------------------------------
 # singular vectors, spans, quotients
 # ---------------------------------------------------------------------------
@@ -125,22 +160,22 @@ def test_singular_space_of_example_tensor():
     z = _zeta(tp)
     # zeta lies in the singular space
     from yosp._linalg import Span
-    s = Span(tp.dim)
+    s = Span()
     for b in sub.basis:
         s.add(b)
-    assert s.contains(z)
+    assert s.contains(sparse(z))
 
 
 def test_singular_space_invariant_under_t11():
     tp = _example_tensor()
     sub = an.singular_vectors(tp)
     from yosp._linalg import Span
-    s = Span(tp.dim)
+    s = Span()
     for b in sub.basis:
         s.add(b)
     for M in tp.op(1, 1).coeffs:
         for b in sub.basis:
-            assert s.contains(mat_vec(M, b))
+            assert s.contains(sparse(mat_vec(M, dense(b, tp.dim))))
 
 
 def test_tii_eigenvalues_on_zeta():
@@ -148,8 +183,8 @@ def test_tii_eigenvalues_on_zeta():
     z = _zeta(tp)
     target = RatFunc(UniPoly.from_roots([rat(1, 2), rat(5, 2)]),
                      UniPoly.from_roots([rat(3, 2), rat(3, 2)]))
-    assert an.tii_eigenvalue(tp, z, 1) == target
-    assert an.tii_eigenvalue(tp, z, 2) == target
+    assert an.tii_eigenvalue(tp, sparse(z), 1) == target
+    assert an.tii_eigenvalue(tp, sparse(z), 2) == target
 
 
 def test_tii_eigenvalue_rejects_a_non_eigenvector():
@@ -158,28 +193,42 @@ def test_tii_eigenvalue_rejects_a_non_eigenvector():
     m = build_elementary(rat(-2), rat(0))
     v = [a + b for a, b in zip(_unit(m, ((0, 0),)), _unit(m, ((0, 1),)))]
     with pytest.raises(ValueError, match="eigenvector"):
-        an.tii_eigenvalue(m, v, 1)
+        an.tii_eigenvalue(m, sparse(v), 1)
     tp = _example_tensor()
     z = _zeta(tp)
     z[tp.highest_index] += ONE
     for i in (1, 2):
         with pytest.raises(ValueError, match="eigenvector"):
-            an.tii_eigenvalue(tp, z, i)
+            an.tii_eigenvalue(tp, sparse(z), i)
 
 
 def test_cyclic_span_of_highest_vector_fills_irreducible():
     m = build_elementary(rat(-2), rat(0))
-    assert an.cyclic_span(m, _unit(m, ((0, 0),))).dim == 6
+    assert an.cyclic_span(m, sparse(_unit(m, ((0, 0),)))).dim == 6
+
+
+def test_structure_vectors_are_coerced_and_zero_is_refused():
+    """cyclic_span and tii_eigenvalue coerce entries with rat and drop
+    zero entries; the zero vector is refused."""
+    m = build_elementary(rat(-2), rat(0))
+    assert (an.cyclic_span(m, {0: "1", 3: 0}).basis
+            == an.cyclic_span(m, {0: ONE}).basis)
+    assert an.tii_eigenvalue(m, {0: "2", 4: 0}, 1) == highest_weight_of(m).l1
+    for zero in ({}, {2: 0}):
+        with pytest.raises(ValueError):
+            an.cyclic_span(m, zero)
+        with pytest.raises(ValueError):
+            an.tii_eigenvalue(m, zero, 1)
 
 
 def test_cyclic_span_of_zeta_is_a_line():
     tp = _example_tensor()
-    assert an.cyclic_span(tp, _zeta(tp)).dim == 1
+    assert an.cyclic_span(tp, sparse(_zeta(tp))).dim == 1
 
 
 def test_quotient_of_example_tensor():
     tp = _example_tensor()
-    k = an.cyclic_span(tp, _zeta(tp))
+    k = an.cyclic_span(tp, sparse(_zeta(tp)))
     q = an.quotient_module(tp, k)
     assert q.dim == 8
     ok, cert = an.is_irreducible(q)
@@ -193,7 +242,7 @@ def test_quotient_of_truncated_verma_gives_elementary():
     for i in big:
         v = [ZERO] * m.dim
         v[i] = ONE
-        basis.append(v)
+        basis.append(sparse(v))
     q = an.quotient_module(m, an.Subspace(m.space, basis))
     assert q.dim == 3
     assert highest_weight_of(q) == elementary_hw(rat(-1), rat(0))
@@ -211,7 +260,8 @@ def test_quotient_by_zero_subspace_is_identity():
 def test_quotient_rejects_non_invariant_subspace():
     m = build_elementary(rat(-2), rat(0))
     with pytest.raises(an.NotInvariant):
-        an.quotient_module(m, an.Subspace(m.space, [_unit(m, ((0, 1),))]))
+        an.quotient_module(m, an.Subspace(m.space,
+                                          [sparse(_unit(m, ((0, 1),)))]))
 
 
 def test_is_irreducible_on_elementary_and_example():
@@ -435,7 +485,21 @@ def test_osp_f11_is_the_weight_grading():
     F11, F12, F21, dec = an.osp_action(m)
     assert sum(n * (2 * int(w) + 1) for w, n in dec.items()) == m.dim
     for i in range(m.dim):
-        assert F11[i][i] == m.space.weight[i]
+        assert F11[i].get(i, ZERO) == m.space.weight[i]
+
+
+def test_osp_checks_the_f11_diagonal_where_it_is_zero():
+    """A weight-0 vector whose stored weight is 1: F_11 has no entry on that
+    diagonal, and the check must still compare it."""
+    m = build_elementary(rat(-2), rat(0))
+    a = m.space.labels.index(((1, 1),))
+    weight = list(m.space.weight)
+    weight[a] = ONE
+    bad = dataclasses.replace(m, space=dataclasses.replace(
+        m.space, weight=tuple(weight)))
+    with pytest.raises(an.WeightMismatch,
+                       match=rf"F_11 entry \({a},{a}\) = 0, expected 1"):
+        an.osp_action(bad)
 
 
 def test_osp_rejects_truncated():

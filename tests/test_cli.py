@@ -14,7 +14,7 @@ def test_build_and_verify_roundtrip(tmp_path, capsys):
     mod = str(tmp_path / "m.json")
     assert main(["elementary", "--alpha", "-1", "--beta", "0",
                  "--out", mod]) == 0
-    assert main(["verify", "rtt", mod, "--samples", "20", "--seed", "1"]) == 0
+    assert main(["verify", "rtt", mod, "--seed", "1"]) == 0
     assert main(["verify", "central", mod]) == 0
     assert main(["verify", "gauss", mod, "--at", "7"]) == 0
     out = capsys.readouterr().out

@@ -14,6 +14,8 @@ from yosp.hopf_tensor import (DepthMismatch, HighestWeight, InfiniteDual,
                               highest_weight_of, tensor_modules)
 from yosp.super_linalg import bar, iprime, theta
 
+from dense import sparse
+
 
 def test_elementary_hw_formula():
     hw = elementary_hw(rat(-1), rat(0))
@@ -252,8 +254,8 @@ def test_tensor_dual_and_quotient_store_no_zero(a, b, i):
     which list entries in row-major order."""
     t = tensor_modules(a, b)
     results = [t, dual_module(t)]
-    span = an.cyclic_span(t, [ONE if k == i % t.dim else ZERO
-                              for k in range(t.dim)])
+    span = an.cyclic_span(t, sparse([ONE if k == i % t.dim else ZERO
+                                     for k in range(t.dim)]))
     if span.dim < t.dim:
         results.append(an.quotient_module(t, span))
     for m in results:

@@ -11,7 +11,7 @@ from yosp.rep_core import (MissingDepth, ModuleRep, apply_twist,
                            save_module, small_verma_denominator, to_json_dict,
                            vector_representation)
 
-from dense import mat_vec
+from dense import dense, mat_vec
 
 
 def _label_index(m, label):
@@ -134,6 +134,24 @@ def test_reconstruction_bracket_consistency():
     m = build_elementary(rat(-2), rat(0))
     lhs = m.op(1, 1).bracket_const(m.t_first(1, 2), 1).scale(-1)
     assert lhs == m.op(1, 2)
+
+
+@pytest.mark.parametrize("m", [
+    build_elementary(rat(-2), rat(0)), vector_representation(),
+    # d(u) = u^2 - 9/4: no u^1 term to subtract on the diagonal
+    build_elementary(rat(-1), rat(3, 2), depth=4)])
+def test_t_first_is_the_u_inverse_coefficient(m):
+    """t_ij^(1) = coeff_{D-1}(T_ij) - delta_ij d_{D-1}, as sparse rows
+    without a stored zero."""
+    D = m.denom.degree
+    for i in range(1, 4):
+        for j in range(1, 4):
+            rows = m.t_first(i, j)
+            want = m.op(i, j).coeff(D - 1)
+            for a in range(m.dim):
+                want[a][a] -= m.denom.coeffs[D - 1] if i == j else 0
+            assert [dense(r, m.dim) for r in rows] == want
+            assert all(x for r in rows for x in r.values())
 
 
 def test_interior_indices():

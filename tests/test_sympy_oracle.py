@@ -7,9 +7,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from yosp import analysis as an
-from yosp.exact_arith import HALF, RatFunc, UniPoly, rat
+from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, rat
 from yosp.hopf_tensor import HighestWeight
 from yosp._linalg import SingularMatrix, Span, inverse, nullspace, rank, rref
+
+from dense import sparse, sparse_rows
 
 U = sympy.Symbol("u")
 
@@ -46,12 +48,12 @@ def from_sympy(M):
 @settings(max_examples=150, deadline=None)
 def test_rref_rank_nullspace_match_sympy(A):
     R, pivots = to_sympy(A).rref()
-    rows, piv = rref(A)
+    rows, piv = rref(sparse_rows(A))
     assert piv == list(pivots)
-    assert rows == from_sympy(R)[:len(pivots)]
-    assert rank(A) == len(pivots)
+    assert rows == sparse_rows(from_sympy(R)[:len(pivots)])
+    assert rank(sparse_rows(A)) == len(pivots)
     want = [[rat(int(x.p), int(x.q)) for x in v] for v in to_sympy(A).nullspace()]
-    assert nullspace(A) == want
+    assert nullspace(sparse_rows(A), len(A[0])) == sparse_rows(want)
 
 
 @given(matrices(square=True))
@@ -72,14 +74,24 @@ def test_span_basis_is_the_rref_in_any_order(A, rnd):
     R, pivots = to_sympy(A).rref()
     rows = list(A)
     rnd.shuffle(rows)
-    span = Span(len(A[0]))
-    grew = [span.add(r) for r in rows]
+    span = Span()
+    grew = [span.add(sparse(r)) for r in rows]
     assert sum(grew) == span.dim == len(pivots)
-    assert span.basis() == from_sympy(R)[:len(pivots)]
+    assert span.basis() == sparse_rows(from_sympy(R)[:len(pivots)])
     assert span.pivots() == list(pivots)
-    for r in A:
+    for r in map(sparse, A):
         assert span.contains(r) and not span.add(r)
         assert span.reduce(r) == {}
+
+
+def test_span_basis_is_a_copy():
+    """add edits its rows in place; a basis taken earlier keeps its values."""
+    span = Span()
+    span.add({0: ONE, 1: ONE})
+    before = span.basis()
+    span.add({1: ONE})
+    assert before == [{0: ONE, 1: ONE}]
+    assert span.basis() == [{0: ONE}, {1: ONE}]
 
 
 @given(matrices(), st.lists(entries, min_size=6, max_size=6))
@@ -88,15 +100,15 @@ def test_span_reduce_is_the_remainder(A, coeffs):
     """reduce(v) is v minus a combination of the basis, with no entry at a
     pivot; it is empty exactly when sympy puts v in the row space."""
     v = [rat(x) for x in coeffs[:len(A[0])]]
-    span = Span(len(A[0]))
+    span = Span()
     for r in A:
-        span.add(r)
-    red = span.reduce(v)
+        span.add(sparse(r))
+    red = span.reduce(sparse(v))
     assert not set(red) & set(span.pivots())
     diff = [x - red.get(c, 0) for c, x in enumerate(v)]
-    assert rank(A + [diff]) == span.dim
+    assert rank(sparse_rows(A + [diff])) == span.dim
     in_rowspace = to_sympy(A + [v]).rank() == to_sympy(A).rank()
-    assert (red == {}) == in_rowspace == span.contains(v)
+    assert (red == {}) == in_rowspace == span.contains(sparse(v))
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(rat)
