@@ -24,7 +24,7 @@ from ._linalg import (SingularMatrix, Span, add_multiple, eye, inverse,
                       sparse_mat_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
-from .rep_core import ModuleRep, to_json_dict
+from .rep_core import ModuleRep, TruncatedInput, to_json_dict
 from .hopf_tensor import HighestWeight
 
 
@@ -38,10 +38,6 @@ class RelationViolation(ArithmeticError):
 
 class NotInvariant(ValueError):
     """The given subspace is not stable under the module action."""
-
-
-class TruncatedInput(ValueError):
-    """The analysis is only meaningful for exact (untruncated) modules."""
 
 
 class NotDominant(ValueError):
@@ -215,14 +211,6 @@ def _combine(terms):
     return {k: v for k, v in acc.items() if v}
 
 
-def _first_mismatch(lhs, rhs, cols):
-    """(row, column) of the first entry where two sparse blocks differ."""
-    k = min(k for k in lhs.keys() | rhs.keys()
-            if lhs.get(k, 0) != rhs.get(k, 0))
-    t, s = divmod(k, len(cols))
-    return t, cols[s]
-
-
 def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on a sample grid.
 
@@ -274,15 +262,15 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
                     R_cols[e].append((p, c))
             for p in range(9):
                 for f in range(9):
-                    lhs = _combine([(c * sx[e][f], X[9 * e + f]) for e, c in R[p]])
-                    rhs = _combine([(c * sy[p][e], Y[9 * p + e])
-                                    for e, c in R_cols[f]])
-                    if lhs != rhs:
-                        t, s = _first_mismatch(lhs, rhs, cols)
+                    diff = _combine(
+                        [(c * sx[e][f], X[9 * e + f]) for e, c in R[p]]
+                        + [(-c * sy[p][e], Y[9 * p + e]) for e, c in R_cols[f]])
+                    if diff:  # the first differing entry, row-major
+                        t, s = divmod(min(diff), width)
                         raise RelationViolation(
                             f"RTT fails at (u,v)=({u0},{v0}) "
-                            f"block ({p},{f}) entry ({t},{s})",
-                            witness=(u0, v0, (p, f, t, s)))
+                            f"block ({p},{f}) entry ({t},{cols[s]})",
+                            witness=(u0, v0, (p, f, t, cols[s])))
             samples.append({"u": rat_str(u0), "v": rat_str(v0), "pass": True})
     return {"check": "rtt", "module_digest": module_digest(m),
             "degree_bound": [D + 2, D + 2], "grid": [len(us), len(vs)],
@@ -321,19 +309,20 @@ def verify_central(m: ModuleRep, seed: int = 0) -> dict:
                 * L * x.denominator ** E * L * u0.denominator ** E)
         if want.denominator == 1:
             want = want.numerator
-        diag = {c * width + k: want for k, c in enumerate(cols) if want}
+        diag = {c * width + k: want for k, c in enumerate(cols)}
         for i in range(3):
             for j in range(3):
-                acc = _combine([(st[k][j], _prod(Tx[i][k], Tu_cut[2 - j][2 - k],
-                                                 width))
-                                for k in range(3)])
-                target = diag if i == j else {}
-                if acc != target:
-                    t, s = _first_mismatch(acc, target, cols)
+                terms = [(st[k][j], _prod(Tx[i][k], Tu_cut[2 - j][2 - k], width))
+                         for k in range(3)]
+                if i == j:
+                    terms.append((-1, diag))
+                diff = _combine(terms)
+                if diff:  # the first differing entry, row-major
+                    t, s = divmod(min(diff), width)
                     raise RelationViolation(
                         f"central relation fails at u={u0} "
-                        f"entry ({i+1},{j+1})({t},{s})",
-                        witness=(u0, (i + 1, j + 1, t, s)))
+                        f"entry ({i+1},{j+1})({t},{cols[s]})",
+                        witness=(u0, (i + 1, j + 1, t, cols[s])))
         samples.append({"u": rat_str(u0), "pass": True})
     return {"check": "central", "module_digest": module_digest(m),
             "degree_bound": 2 * D, "samples": samples,
@@ -376,7 +365,9 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
     e_12(u0) = -e_23(u0+1/2), f_21(u0) = f_32(u0+1/2),
     h_1(u0) h_3(u0+1/2) = h_2(u0) h_2(u0+1/2), and
     c(u0) = h_1(u0) h_1(u0+1)^{-1} h_2(u0+1) h_2(u0+3/2).
+    The relations hold only on an exact module: TruncatedInput otherwise.
     """
+    m.require_exact("the Gauss check")
     u0 = rat(u0)
     g0 = _gauss_at(m, u0)
     g_half = _gauss_at(m, u0 + HALF)
@@ -504,8 +495,7 @@ def is_irreducible(m: ModuleRep):
 
     Returns (bool, certificate dict).
     """
-    if m.truncated:
-        raise TruncatedInput("irreducibility is undecidable under truncation")
+    m.require_exact("irreducibility")
     sing = singular_vectors(m)
     span = cyclic_span(m, {m.highest_index: ONE})
     ok = sing.dim == 1 and span.dim == m.dim
@@ -743,8 +733,7 @@ def osp_action(m: ModuleRep):
     Checks that the F_11-eigenvalues reproduce the stored weights, then counts
     highest vectors per nonnegative weight space.
     """
-    if m.truncated:
-        raise TruncatedInput("decomposition needs an exact finite module")
+    m.require_exact("the osp(1|2) decomposition")
     F11 = _emb_matrix(m, 1, 1)
     F12 = _emb_matrix(m, 1, 2)
     F21 = _emb_matrix(m, 2, 1)

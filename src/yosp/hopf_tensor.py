@@ -15,16 +15,8 @@ from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
 
-class DepthMismatch(ValueError):
-    """Tensor factors carry incompatible truncation depths."""
-
-
 class NoHighestVector(ValueError):
     """The maximal-weight space is not spanned by a single eigenvector."""
-
-
-class InfiniteDual(ValueError):
-    """Dual requested of a truncated (infinite-dimensional) module."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +51,8 @@ def central_from_hw(hw: HighestWeight) -> RatFunc:
 
 
 def tensor_modules(a: ModuleRep, b: ModuleRep) -> ModuleRep:
-    """Module on the tensor product space via the coproduct."""
-    if a.truncated and b.truncated and a.depth != b.depth:
-        raise DepthMismatch(f"factor depths {a.depth} and {b.depth} differ")
+    """Module on the tensor product space via the coproduct; each factor
+    keeps its own truncation depth."""
     space = a.space.tensor(b.space)
     denom = a.denom * b.denom
     D = denom.degree
@@ -122,8 +113,7 @@ def highest_weight_of(m: ModuleRep) -> HighestWeight:
 def dual_module(m: ModuleRep) -> ModuleRep:
     """Dual via the anti-automorphism omega: t_ij(u) -> t_{i'j'}(-u+1/2) theta_i theta_j,
     acting on the dual basis by transposed matrices."""
-    if m.truncated:
-        raise InfiniteDual("dual of a truncated module is not materializable")
+    m.require_exact("the dual")
     D = m.denom.degree
     sign = ONE if D % 2 == 0 else -ONE
     denom = m.denom.reflect(HALF) * sign

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .exact_arith import (DegreeError, HALF, KAPPA, ONE, RatFunc, Scalar,
                           UniPoly, ZERO, rat, rat_str)
@@ -32,9 +32,16 @@ class ReconstructionInconsistent(ArithmeticError):
     """The reconstructed T matrix fails an internal cross-relation."""
 
 
+class TruncatedInput(ValueError):
+    """A truncated module given to an analysis that needs an exact one, or
+    with no column far enough below its cut to verify."""
+
+
 @dataclass(frozen=True)
 class Factor:
-    """Provenance of one tensor factor: its parameters and truncation depth."""
+    """Provenance of one tensor factor: its parameters and truncation depth,
+    None when the factor is exact.  The factors are the only record of
+    truncation."""
 
     alpha: Scalar
     beta: Scalar
@@ -57,17 +64,15 @@ class ModuleRep:
         return self.space.dim
 
     @property
-    def params(self) -> List[Tuple[Scalar, Scalar]]:
-        return [(f.alpha, f.beta) for f in self.factors]
-
-    @property
-    def depth(self) -> Optional[int]:
-        depths = {f.depth for f in self.factors if f.depth is not None}
-        return max(depths) if depths else None
-
-    @property
     def truncated(self) -> bool:
-        return self.depth is not None
+        return any(f.depth is not None for f in self.factors)
+
+    def require_exact(self, what: str):
+        """TruncatedInput when a factor is truncated: `what` needs the whole module."""
+        if self.truncated:
+            depths = [f.depth for f in self.factors]
+            raise TruncatedInput(f"{what} needs an exact module; this one is "
+                                 f"truncated (factor depths {depths})")
 
     def op(self, i: int, j: int) -> OperatorPoly:
         """T_ij(u) with 1-based indices."""
@@ -303,21 +308,22 @@ def apply_twist(m: ModuleRep, f: Optional[RatFunc] = None, a=None) -> ModuleRep:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-MODULE_FORMAT = 2
+MODULE_FORMAT = 3
 
 
 class ModuleFormatError(ValueError):
-    """A module file that is not a well-formed format-2 module."""
+    """A module file that is not a well-formed module of MODULE_FORMAT."""
 
 
 def to_json_dict(m: ModuleRep) -> dict:
-    """Format 2: the u^0..u^D coefficients of each T_ij, each as the
-    row-major list [[row, col, "p/q"], ...] of its nonzero entries."""
+    """Format 3: each factor as ["alpha", "beta", depth or null], and the
+    u^0..u^D coefficients of each T_ij, each as the row-major list
+    [[row, col, "p/q"], ...] of its nonzero entries."""
     D = m.denom.degree
     return {
         "format": MODULE_FORMAT,
-        "params": [[rat_str(a), rat_str(b)] for a, b in m.params],
-        "depth": m.depth,
+        "factors": [[rat_str(f.alpha), rat_str(f.beta), f.depth]
+                    for f in m.factors],
         "denom": [rat_str(c) for c in m.denom.coeffs],
         "basis": [
             {"labels": [[int(r), int(s)] for r, s in m.space.labels[i]],
@@ -356,18 +362,24 @@ def from_json_dict(d: dict) -> ModuleRep:
 
 
 def _read_module(d: dict) -> ModuleRep:
-    params = [(rat(a), rat(b)) for a, b in d["params"]]
-    depth = d["depth"]
-    if depth is not None and not (type(depth) is int and depth >= 0):
-        raise ModuleFormatError(f"depth {depth!r} is not a natural number")
+    factors = [Factor(rat(a), rat(b), depth) for a, b, depth in d["factors"]]
+    for f in factors:
+        if f.depth is not None and not (type(f.depth) is int and f.depth >= 0):
+            raise ModuleFormatError(f"depth {f.depth!r} is not a natural number")
     basis = d["basis"]
     n = len(basis)
+    parity = tuple(b["parity"] for b in basis)
+    for p in parity:
+        if type(p) is not int or p not in (0, 1):
+            raise ModuleFormatError(f"parity {p!r} is not 0 or 1")
     space = GradedSpace(
         n,
-        tuple(int(b["parity"]) for b in basis),
+        parity,
         tuple(rat(b["weight"]) for b in basis),
         tuple(tuple((int(r), int(s)) for r, s in b["labels"]) for b in basis),
     )
+    if any(len(lab) != len(factors) for lab in space.labels):
+        raise ModuleFormatError("a basis label does not hold one pair per factor")
     denom = UniPoly([rat(c) for c in d["denom"]])
     parsed = {}
     T = [[None] * 3 for _ in range(3)]
@@ -396,10 +408,6 @@ def _read_module(d: dict) -> ModuleRep:
     highest = d["highest_index"]
     if highest not in range(n):
         raise ModuleFormatError(f"highest_index {highest!r} outside dimension {n}")
-    factors = []
-    for a, b in params:
-        exact = b - a >= 0 and b - a == int(b - a)
-        factors.append(Factor(a, b, None if exact else depth))
     return ModuleRep(space, denom, T, c, highest, factors)
 
 

@@ -95,6 +95,37 @@ def test_truncated_analysis_reports_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+VERMA_INTEGER_GAP = ["small-verma", "--alpha=-2", "--beta=0", "--depth", "6"]
+
+
+def test_reloaded_truncated_module_with_integer_gap_certifies(tmp_path, capsys):
+    """M(-2,0) at depth 6 stays truncated after a reload, although beta-alpha
+    is an integer: the verifiers compare only its interior columns."""
+    mod = str(tmp_path / "m.json")
+    assert main(VERMA_INTEGER_GAP + ["--out", mod]) == 0
+    assert main(["verify", "rtt", mod]) == 0
+    assert main(["verify", "central", mod]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("build, argv", [
+    (VERMA_INTEGER_GAP, ["irreducible"]),
+    (VERMA_INTEGER_GAP, ["osp"]),
+    (VERMA_INTEGER_GAP, ["verify", "gauss"]),
+    (["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"],
+     ["verify", "gauss"]),
+], ids=["irreducible", "osp", "gauss", "gauss-generic"])
+def test_exact_only_analysis_refuses_a_truncated_file(tmp_path, capsys, build,
+                                                      argv):
+    mod = str(tmp_path / "m.json")
+    assert main(build + ["--out", mod]) == 0
+    capsys.readouterr()
+    assert main(argv + [mod]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "truncated" in captured.err
+    assert "FAIL" not in captured.out and "pass" not in captured.out
+
+
 def test_verify_with_no_checked_column_is_a_usage_error(tmp_path, capsys):
     """Depth 3 leaves no column 4 levels below the cut: refuse, never pass."""
     mod = str(tmp_path / "m.json")
@@ -139,6 +170,15 @@ def _format_1(d):
     return d
 
 
+def _format_2(d):
+    """The layout files had before format 3: one "params" pair per factor
+    and a single "depth" for the whole module."""
+    d = dict(d, format=2, params=[[a, b] for a, b, _ in d["factors"]],
+             depth=None)
+    del d["factors"]
+    return d
+
+
 def _drop(key):
     def corrupt(d):
         del d[key]
@@ -173,6 +213,21 @@ def _zero_entry(d):
     return d
 
 
+def _bad_parity(d):
+    d["basis"][0]["parity"] = 2
+    return d
+
+
+def _bad_depth(d):
+    d["factors"][0][2] = -1
+    return d
+
+
+def _extra_factor(d):
+    d["factors"].append(d["factors"][0])
+    return d
+
+
 def _extra_coefficient(d):
     d["T"]["11"].append([])
     return d
@@ -182,16 +237,21 @@ def _extra_coefficient(d):
     (lambda d: {}, "rebuild"),
     (_drop("format"), "rebuild"),
     (_format_1, "rebuild"),
-    (_set_format(3), "rebuild"),
+    (_format_2, "rebuild"),
+    (_set_format(99), "rebuild"),
     (_drop("denom"), "'denom'"),
     (_delete_basis_entry, "outside dimension 2"),
     (_index_out_of_range, "outside dimension 3"),
     (_not_rational, "p/0"),
     (_extra_coefficient, "coefficients"),
     (_zero_entry, "listed as 0"),
-], ids=["empty-object", "no-format", "format-1", "unknown-format",
+    (_bad_parity, "parity 2 is not 0 or 1"),
+    (_bad_depth, "depth -1 is not a natural number"),
+    (_extra_factor, "one pair per factor"),
+], ids=["empty-object", "no-format", "format-1", "format-2", "unknown-format",
         "missing-key", "deleted-basis-entry", "index-out-of-range",
-        "not-rational", "extra-coefficient", "zero-entry"])
+        "not-rational", "extra-coefficient", "zero-entry", "bad-parity",
+        "bad-depth", "extra-factor"])
 def test_malformed_module_file_is_a_usage_error(tmp_path, capsys, corrupt,
                                                 message):
     mod = tmp_path / "m.json"

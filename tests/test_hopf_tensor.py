@@ -1,15 +1,17 @@
 """Tests for tensor products, highest weights, and duals."""
 
+import dataclasses
+
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from yosp import analysis as an
 from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
 from yosp._linalg import zeros
-from yosp.rep_core import (apply_twist, build_elementary, build_small_verma,
-                           load_module, save_module, to_json_dict)
-from yosp.hopf_tensor import (DepthMismatch, HighestWeight, InfiniteDual,
-                              NoHighestVector, _kron_accumulate,
+from yosp.rep_core import (Factor, TruncatedInput, apply_twist,
+                           build_elementary, build_small_verma, load_module,
+                           save_module, to_json_dict)
+from yosp.hopf_tensor import (HighestWeight, NoHighestVector, _kron_accumulate,
                               central_from_hw, dual_module, elementary_hw,
                               highest_weight_of, tensor_modules)
 from yosp.super_linalg import bar, iprime, theta
@@ -77,11 +79,22 @@ def test_tensor_associativity():
             assert left.op(i, j) == right.op(i, j)
 
 
-def test_tensor_depth_mismatch():
-    a = build_small_verma(rat(-1, 3), rat(0), depth=4)
-    b = build_small_verma(rat(-1, 5), rat(0), depth=6)
-    with pytest.raises(DepthMismatch):
-        tensor_modules(a, b)
+def test_tensor_of_different_depths_certifies():
+    """Each factor keeps its own cut: the verifiers compare the 2 x 6 columns
+    lying 4 levels below depth 5 in the first factor and depth 7 in the
+    second, and a copy with T_12 negated fails both."""
+    tp = tensor_modules(build_small_verma(rat(-1, 3), rat(0), depth=5),
+                        build_small_verma(rat(-2, 5), rat(0), depth=7))
+    assert [f.depth for f in tp.factors] == [5, 7]
+    assert an.verify_rtt(tp)["columns_checked"] == 12
+    assert an.verify_central(tp)["columns_checked"] == 12
+    T = [list(row) for row in tp.T]
+    T[0][1] = T[0][1].scale(-1)
+    bad = dataclasses.replace(tp, T=T)
+    with pytest.raises(an.RelationViolation):
+        an.verify_rtt(bad)
+    with pytest.raises(an.RelationViolation):
+        an.verify_central(bad)
 
 
 def test_no_highest_vector_on_degenerate_top():
@@ -119,7 +132,7 @@ def test_double_dual_restores_hw():
 
 def test_dual_of_truncated_raises():
     m = build_small_verma(rat(-1, 3), rat(0), depth=4)
-    with pytest.raises(InfiniteDual):
+    with pytest.raises(TruncatedInput):
         dual_module(m)
 
 
@@ -227,7 +240,8 @@ def test_truncated_tensor_file_round_trip(tmp_path):
     back = load_module(p1)
     save_module(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert back.depth == 4 and back.dim == tp.dim
+    assert back.factors == [Factor(rat(-1, 3), 0, 4), Factor(rat(-2, 5), 0, 4)]
+    assert back.dim == tp.dim
     for i in range(1, 4):
         for j in range(1, 4):
             assert back.op(i, j).coeffs == tp.op(i, j).coeffs

@@ -1,11 +1,15 @@
 """Tests for module construction: small Verma, elementary, vector, twists, IO."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yosp.exact_arith import HALF, KAPPA, ONE, RatFunc, UniPoly, ZERO, rat
-from yosp.rep_core import (MissingDepth, ModuleRep, apply_twist,
+from yosp.hopf_tensor import tensor_modules
+from yosp.rep_core import (Factor, MissingDepth, ModuleRep, apply_twist,
                            build_elementary, build_small_verma,
                            central_ratfunc, from_json_dict, load_module,
                            save_module, small_verma_denominator, to_json_dict,
@@ -44,7 +48,7 @@ def test_elementary_half_family_needs_depth():
     with pytest.raises(MissingDepth):
         build_elementary(rat(-3, 2), rat(0))
     m = build_elementary(rat(-3, 2), rat(0), depth=6)
-    assert m.truncated and m.depth == 6
+    assert m.truncated and m.factors == [Factor(rat(-3, 2), rat(0), 6)]
 
 
 def test_generic_verma_needs_depth():
@@ -184,7 +188,7 @@ def test_identity_twist_is_noop():
 def test_shift_twist_moves_parameters():
     m = build_elementary(rat(-1), rat(0))
     t = apply_twist(m, a=rat(-3, 2))
-    assert t.params == [(rat(-5, 2), rat(-3, 2))]
+    assert t.factors == [Factor(rat(-5, 2), rat(-3, 2), None)]
     assert t.op(1, 1).eval(rat(4)) == m.op(1, 1).eval(rat(5, 2))
 
 
@@ -207,7 +211,7 @@ def test_json_roundtrip_preserves_action(tmp_path):
     save_module(m, p)
     m2 = load_module(p)
     assert m2.dim == m.dim
-    assert m2.depth == 5
+    assert m2.factors == [Factor(rat(-1, 3), rat(0), 5)]
     assert m2.c == m.c
     for i in range(1, 4):
         for j in range(1, 4):
@@ -220,3 +224,31 @@ def test_json_dict_round_trip_in_memory():
     m2 = from_json_dict(d)
     assert m2.op(2, 1) == m.op(2, 1)
     assert m2.space == m.space
+
+
+_ALPHAS = st.sampled_from([rat(-2), rat(-1, 3), rat(1, 2)])
+_DEPTHS = st.integers(0, 4)
+_FACTOR = st.one_of(
+    # beta - alpha an integer, a half-integer and generic
+    st.builds(lambda a, gap, d: build_small_verma(a, a + gap, d), _ALPHAS,
+              st.sampled_from([rat(2), rat(1, 2), rat(1, 3)]), _DEPTHS),
+    st.builds(lambda a, k: build_elementary(a, a + k), _ALPHAS, st.integers(0, 2)),
+    st.builds(lambda a, k, d: build_elementary(a, a + k - HALF, depth=d),
+              _ALPHAS, st.integers(0, 2), _DEPTHS))
+_MODULES = st.one_of(_FACTOR, st.tuples(_FACTOR, _FACTOR).map(
+    lambda pair: tensor_modules(*pair)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=_MODULES)
+def test_file_round_trip_keeps_every_factor(m):
+    """Each factor's depth is written and read back as it is, exact or not,
+    and a second save writes the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_module(m, p1)
+        back = load_module(p1)
+        save_module(back, p2)
+        assert back.factors == m.factors
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
