@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.  Vectors and matrix rows are
 sparse {index: nonzero entry} dicts; row reduction (rank, kernels, inverses,
 spans) runs through one sparse echelon Span.  Dense matrices serve only the
-Gauss spot check, the R-matrix constant and OperatorPoly's dense views."""
+Gauss spot check, the R-matrix constant and OperatorPoly's dense views.
+mat_add, mat_sub, mat_scale and mat_mul stay dense while perfbench/layers.py
+wraps them by name, until the benchmark refresh (ROADMAP E0)."""
 
 from __future__ import annotations
 

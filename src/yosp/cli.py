@@ -132,8 +132,7 @@ def cmd_classify(args):
 def cmd_irreducible(args):
     m = load_module(args.module)
     ok, cert = an.is_irreducible(m)
-    _emit(args, {"irreducible": ok, "certificate":
-                 {k: v for k, v in cert.items()}},
+    _emit(args, {"irreducible": ok, "certificate": cert},
           f"irreducible: {ok} "
           f"(singular dim {cert['singular_dim']}, "
           f"cyclic dim {cert['cyclic_dim']} of {cert['dim']})")
@@ -254,12 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("verify", help="check a defining relation")
-    p.add_argument("relation", choices=["rtt", "central", "gauss"])
-    p.add_argument("module")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--at", type=_rational, default="7",
-                   help="sample point for gauss")
-    p.add_argument("--json", action="store_true")
+    relations = p.add_subparsers(dest="relation", required=True)
+    for name in ("rtt", "central", "gauss"):
+        q = relations.add_parser(name)
+        q.add_argument("module")
+        if name == "gauss":
+            q.add_argument("--at", type=_rational, default="7", help="sample point")
+        else:
+            q.add_argument("--seed", type=int, default=0, help="grid seed")
+        q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     for name, func in [("character", cmd_character),

@@ -247,9 +247,6 @@ class RatFunc:
             raise ZeroDivisionError("division by zero RatFunc")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def inverse(self) -> "RatFunc":
-        return RatFunc.const(1) / self
-
     def __call__(self, u0) -> Scalar:
         u0 = rat(u0)
         d = self.den(u0)

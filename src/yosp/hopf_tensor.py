@@ -1,4 +1,5 @@
-"""Coproduct-based tensor products, highest-weight extraction, and duals.
+"""Coproduct-based tensor products, t_ii(u) eigenvalues and highest weights,
+and duals.
 
 The coproduct t_ij(u) -> sum_k t_ik(u) (x) t_kj(u) turns the tensor product
 of two modules into a module; the Koszul sign of the second factor is the
@@ -8,9 +9,10 @@ only sign involved and it is validated by the RTT verifier on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
-from .exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
-from ._linalg import add_multiple
+from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
+from ._linalg import add_multiple, sparse_mat_vec
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -90,21 +92,39 @@ def _kron_accumulate(out, A, B, op_parity_b, source_parity_a):
     return out
 
 
+def _sparse_input(v) -> Dict[int, Scalar]:
+    """A caller's {index: entry} vector as Scalars, its zero entries dropped."""
+    return {i: y for i, x in v.items() if (y := rat(x))}
+
+
+def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
+    """The eigenvalue of t_ii(u) on a common eigenvector v, a sparse
+    {basis index: entry} dict, as a RatFunc; ValueError when v is zero or
+    not an eigenvector of every coefficient of T_ii(u)."""
+    v = _sparse_input(v)
+    if not v:
+        raise ValueError("eigenvalue of the zero vector")
+    pivot = min(v)
+    cs = []
+    for R in m.op(i, i).rows:
+        w = sparse_mat_vec(R, v)
+        c = w.get(pivot, ZERO) / v[pivot]
+        if w != ({a: c * x for a, x in v.items()} if c else {}):
+            raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
+        cs.append(c)
+    return RatFunc(UniPoly(cs), m.denom)
+
+
 def highest_weight_of(m: ModuleRep) -> HighestWeight:
     """Read off (lambda_1, lambda_2, lambda_3) from the maximal-weight vector."""
-    top = m.space.top_weight()
-    idx = [i for i, w in enumerate(m.space.weight) if w == top]
+    idx = m.space.weight_spaces()[m.space.top_weight()]
     if len(idx) != 1:
         raise NoHighestVector(f"maximal-weight space has dimension {len(idx)}")
-    h = idx[0]
-    lams = []
-    for i in range(1, 4):
-        rows = m.op(i, i).rows
-        if any(h in row for R in rows for a, row in enumerate(R) if a != h):
-            raise NoHighestVector("top vector is not a t_ii(u) eigenvector")
-        lam = UniPoly([R[h].get(h, ZERO) for R in rows])
-        lams.append(RatFunc(lam, m.denom))
-    hw = HighestWeight(*lams)
+    try:
+        hw = HighestWeight(*(tii_eigenvalue(m, {idx[0]: ONE}, i)
+                             for i in range(1, 4)))
+    except ValueError as exc:
+        raise NoHighestVector("top vector is not a t_ii(u) eigenvector") from exc
     if not hw.consistency_holds():
         raise NoHighestVector("eigenvalue triple fails the consistency condition")
     return hw

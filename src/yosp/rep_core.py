@@ -104,16 +104,17 @@ class ModuleRep:
                 out.append(idx)
         return out
 
-    def weight_shift_violations(self):
-        """Entries of T_ij breaking the weight grading w(target)-w(source)=w_i-w_j."""
+    def grading_violations(self):
+        """Entries (i, j, a, b) of T_ij breaking the weight grading
+        w(a) - w(b) = w_i - w_j or the parity |a| + |b| = |i| + |j| (mod 2)."""
         bad = []
-        wt = self.space.weight
+        wt, par = self.space.weight, self.space.parity
         for i in range(1, 4):
             for j in range(1, 4):
-                shift = W_SHIFT[i] - W_SHIFT[j]
+                shift, odd = W_SHIFT[i] - W_SHIFT[j], (bar(i) + bar(j)) % 2
                 bad.extend((i, j, a, b) for R in self.op(i, j).rows
                            for a, row in enumerate(R) for b in row
-                           if wt[a] - wt[b] != shift and not (i == j and a == b))
+                           if wt[a] - wt[b] != shift or par[a] ^ par[b] != odd)
         return bad
 
 
@@ -183,7 +184,8 @@ def reconstruct_full_T(partial: ModuleRep) -> ModuleRep:
     The recurrences are super-brackets with the level-one generators
     t_21^{(1)}, t_12^{(1)} and t_23^{(1)} = -t_12^{(1)}; a failed
     cross-relation [t_12^{(1)}, T_11(u)] = T_12(u) raises
-    ReconstructionInconsistent (it would mean a sign-convention bug).
+    ReconstructionInconsistent (it would mean a sign-convention bug), as
+    does a broken weight or parity grading.
     """
     m = partial
     T11, T12, T21 = m.op(1, 1), m.op(1, 2), m.op(2, 1)
@@ -205,8 +207,8 @@ def reconstruct_full_T(partial: ModuleRep) -> ModuleRep:
     lhs = -T11.bracket_const(t12, 1)                      # [t_12^(1), T_11(u)]
     if not lhs.trim() == T12.trim():
         raise ReconstructionInconsistent("[t_12^(1), T_11(u)] != T_12(u)")
-    if out.weight_shift_violations():
-        raise ReconstructionInconsistent("weight grading broken")
+    if out.grading_violations():
+        raise ReconstructionInconsistent("weight or parity grading broken")
     return out
 
 

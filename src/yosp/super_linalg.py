@@ -224,9 +224,3 @@ class OperatorPoly:
 
     def __eq__(self, other):
         return self.trim().rows == other.trim().rows
-
-    def parity_violations(self, space: GradedSpace):
-        """List of (a, b) where a nonzero entry breaks the parity grading."""
-        return [(a, b) for R in self.rows for a, row in enumerate(R)
-                for b in row
-                if (space.parity[a] + space.parity[b] + self.op_parity) % 2]

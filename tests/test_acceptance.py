@@ -12,6 +12,8 @@ from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
 from yosp import analysis as an
 
+from characters import (char_elementary_half, char_elementary_int,
+                        char_small_verma, character_prefix)
 from dense import mat_vec, sparse
 
 
@@ -103,14 +105,14 @@ def test_criterion_5_example_tensor_product():
 
 
 def test_criterion_6_characters():
-    ok = (an.character_prefix(build_small_verma(rat(-1, 3), rat(0), depth=10), 8)
-          == an.char_small_verma(8))
+    ok = (character_prefix(build_small_verma(rat(-1, 3), rat(0), depth=10), 8)
+          == char_small_verma(8))
     for k in range(5):
         m = build_elementary(rat(-k), rat(0))
-        ok = ok and an.character_prefix(m, 2 * k) == an.char_elementary_int(k, 2 * k)
+        ok = ok and character_prefix(m, 2 * k) == char_elementary_int(k, 2 * k)
     for k in range(1, 4):
         m = build_elementary(rat(-k) + HALF, rat(0), depth=10)
-        ok = ok and an.character_prefix(m, 7) == an.char_elementary_half(k, 7)
+        ok = ok and character_prefix(m, 7) == char_elementary_half(k, 7)
     _report(6, "characters match the three closed forms", ok)
 
 

@@ -15,6 +15,8 @@ from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
 from yosp import analysis as an
 
+from characters import (char_elementary_half, char_elementary_int,
+                        char_small_verma, character_prefix, multiplicity)
 from dense import dense, mat_vec, sparse
 
 
@@ -49,6 +51,16 @@ def test_rtt_vector_representation():
     assert report["grid"] == [5, 5] and len(report["samples"]) == 25
 
 
+def test_rtt_samples_a_root_of_d():
+    """The grid skips no point: seed 0 puts u = 0, a root of
+    d(u) = (u-5/2)u, on the grid of L(-2,0), and the relation holds there."""
+    m = build_elementary(rat(-2), rat(0))
+    assert m.denom(ZERO) == 0
+    report = an.verify_rtt(m, seed=0)
+    assert report["result"] == "pass"
+    assert [s["u"] for s in report["samples"][::5]] == ["0", "1", "2", "3", "4"]
+
+
 def test_rtt_elementary_and_truncated():
     assert an.verify_rtt(build_elementary(rat(-2), rat(0)))["result"] == "pass"
     m = build_small_verma(rat(-1, 3), rat(0), depth=8)
@@ -74,6 +86,14 @@ def test_central_negative_control():
     m = build_elementary(rat(-1), rat(0))
     m.c = m.c * RatFunc.linear_ratio(rat(1), rat(2))
     with pytest.raises(an.RelationViolation):
+        an.verify_central(m)
+
+
+def test_central_refuses_a_non_polynomial_target():
+    """c(u) d(u-kappa) d(u) must be a polynomial, as the left side is one."""
+    m = build_elementary(rat(-1), rat(0))
+    m.c = m.c * RatFunc.linear_ratio(rat(1, 5), rat(2, 7))
+    with pytest.raises(an.RelationViolation, match="not a polynomial"):
         an.verify_central(m)
 
 
@@ -156,7 +176,6 @@ def test_singular_space_of_example_tensor():
     tp = _example_tensor()
     sub = an.singular_vectors(tp)
     assert sub.dim == 2
-    span = an.Subspace(tp.space, sub.basis)
     z = _zeta(tp)
     # zeta lies in the singular space
     from yosp._linalg import Span
@@ -243,14 +262,14 @@ def test_quotient_of_truncated_verma_gives_elementary():
         v = [ZERO] * m.dim
         v[i] = ONE
         basis.append(sparse(v))
-    q = an.quotient_module(m, an.Subspace(m.space, basis))
+    q = an.quotient_module(m, an.Subspace(basis))
     assert q.dim == 3
     assert highest_weight_of(q) == elementary_hw(rat(-1), rat(0))
 
 
 def test_quotient_by_zero_subspace_is_identity():
     m = build_elementary(rat(-1), rat(0))
-    q = an.quotient_module(m, an.Subspace(m.space, []))
+    q = an.quotient_module(m, an.Subspace([]))
     assert q.dim == m.dim
     for i in range(1, 4):
         for j in range(1, 4):
@@ -260,8 +279,7 @@ def test_quotient_by_zero_subspace_is_identity():
 def test_quotient_rejects_non_invariant_subspace():
     m = build_elementary(rat(-2), rat(0))
     with pytest.raises(an.NotInvariant):
-        an.quotient_module(m, an.Subspace(m.space,
-                                          [sparse(_unit(m, ((0, 1),)))]))
+        an.quotient_module(m, an.Subspace([sparse(_unit(m, ((0, 1),)))]))
 
 
 def test_is_irreducible_on_elementary_and_example():
@@ -355,8 +373,7 @@ def test_drinfeld_elementary_examples():
     assert P1.P == UniPoly.from_roots([rat(1)])
     P2 = an.drinfeld_polynomial(elementary_hw(rat(-2), rat(0)))
     assert P2.P == UniPoly.from_roots([rat(1), rat(2)])
-    assert P2.ratio() == P2.ratio()  # smoke: ratio is well-defined
-    assert P2.ratio() == elementary_hw(rat(-2), rat(0)).l2 / \
+    assert RatFunc(P2.P.shift(1), P2.P) == elementary_hw(rat(-2), rat(0)).l2 / \
         elementary_hw(rat(-2), rat(0)).l1
 
 
@@ -439,31 +456,32 @@ def test_character_of_elementary():
     ch = an.character_of(m)
     assert ch.total == 6
     assert ch.pairs[0] == (rat(2), 1)
-    assert an.character_prefix(m, 4) == an.char_elementary_int(2, 4)
+    assert multiplicity(ch, 0) == 2 and multiplicity(ch, 3) == 0
+    assert character_prefix(m, 4) == char_elementary_int(2, 4)
 
 
 def test_character_closed_forms():
     for k in range(5):
         m = build_elementary(rat(-k), rat(0))
-        assert an.character_prefix(m, 2 * k) == an.char_elementary_int(k, 2 * k)
+        assert character_prefix(m, 2 * k) == char_elementary_int(k, 2 * k)
     for k in range(1, 4):
         m = build_elementary(rat(-k) + HALF, rat(0), depth=9)
-        got = an.character_prefix(m, 6)
-        assert got == an.char_elementary_half(k, 6)
+        got = character_prefix(m, 6)
+        assert got == char_elementary_half(k, 6)
 
 
 def test_character_small_verma_prefix():
     m = build_small_verma(rat(-1, 3), rat(0), depth=8)
-    assert an.character_prefix(m, 6) == an.char_small_verma(6)
+    assert character_prefix(m, 6) == char_small_verma(6)
 
 
 def test_character_of_tensor_is_convolution():
     a = build_elementary(rat(-1), rat(0))
     b = build_elementary(rat(-2), rat(0))
     tp = tensor_modules(a, b)
-    pa = an.character_prefix(a, 2)
-    pb = an.character_prefix(b, 4)
-    pt = an.character_prefix(tp, 6)
+    pa = character_prefix(a, 2)
+    pb = character_prefix(b, 4)
+    pt = character_prefix(tp, 6)
     conv = [sum(pa[i] * pb[p - i] for i in range(max(0, p - 4), min(p, 2) + 1))
             for p in range(7)]
     assert pt == conv

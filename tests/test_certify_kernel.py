@@ -4,8 +4,9 @@ The oracle is the direct formula over exact rationals: every T_ij evaluated
 with OperatorPoly.eval, full products over all columns (sparse rows of the
 evaluated matrices for RTT, dense mat_mul for the central relation), the
 R-matrix from rc_eval, and the comparison made on the same checked columns.
-It shares only the sample grid with yosp.analysis, so a disagreement points
-at the kernel's scaling, sparsity or column restriction.
+It shares only the sample grid with yosp.analysis: plain progressions that
+skip no point, roots of d(u) included.  A disagreement therefore points at
+the kernel's scaling, sparsity or column restriction.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yosp import analysis as an
-from yosp.exact_arith import HALF, KAPPA, Scalar, UniPoly, ZERO, rat, rat_str
+from yosp.exact_arith import KAPPA, RatFunc, Scalar, UniPoly, ZERO, rat, rat_str
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.hopf_tensor import tensor_modules
 from yosp.rep_core import (build_elementary, build_small_verma,
@@ -48,11 +49,9 @@ def _accumulate(acc, c, X):
 
 def oracle_rtt(m, seed=0, margin=4):
     D = m.denom.degree
-    side = D + 3
     base = random.Random(seed).randint(-6, 6)
-    droots = [-f.alpha + HALF for f in m.factors] + [-f.beta for f in m.factors]
-    us = an._avoiding(rat(base), droots, side)
-    vs = an._avoiding(rat(base) + rat(1, 3), droots, side)
+    us = [rat(base + k) for k in range(D + 3)]
+    vs = [u0 + rat(1, 3) for u0 in us]
     cols = an._checked_cols(m, margin)
     Rc = build_P_Q_R()[2]
     n = m.dim
@@ -102,17 +101,14 @@ def oracle_rtt(m, seed=0, margin=4):
 def oracle_central(m, seed=0, margin=4):
     D = m.denom.degree
     base = random.Random(seed).randint(-6, 6)
-    bad = []
-    for f in m.factors:
-        for r in (-f.alpha + HALF, -f.beta):
-            bad.extend([r, r + KAPPA])
-    bad.extend(an._poly_rational_roots(m.c.den)[0])
-    us = an._avoiding(rat(base) + rat(1, 7), bad, 2 * D + 3)
+    us = [rat(base) + rat(1, 7) + k for k in range(2 * D + 3)]
+    # c(u) d(u-kappa) d(u), a polynomial on a module the relation holds on
+    scalar_of = m.c * RatFunc(m.denom.shift(-KAPPA)) * RatFunc(m.denom)
     cols = an._checked_cols(m, margin)
     n = m.dim
     samples = []
     for u0 in us:
-        scalar = m.c(u0) * m.denom(u0 - KAPPA) * m.denom(u0)
+        scalar = scalar_of(u0)
         Mu = [[m.op(i, j).eval(u0 - KAPPA) for j in range(1, 4)]
               for i in range(1, 4)]
         # (T^t)_kj = theta_k theta_j (-1)^{|k||j|+|j|} T_{j'k'}

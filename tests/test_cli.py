@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from yosp.cli import main
-from yosp.exact_arith import rat, rat_str
+from yosp.exact_arith import RatFunc, UniPoly, rat, rat_str
 
 
 def test_build_and_verify_roundtrip(tmp_path, capsys):
@@ -139,17 +139,28 @@ def test_verify_with_no_checked_column_is_a_usage_error(tmp_path, capsys):
     assert "error" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["small-verma", "--alpha=1/0", "--beta", "0", "--depth", "4"],
-    ["small-verma", "--alpha=abc", "--beta", "0", "--depth", "4"],
-    ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "-1"],
-    ["elementary", "--alpha=-1", "--beta=2/0"],
-], ids=["alpha-1/0", "alpha-abc", "depth-negative", "elementary-beta-2/0"])
-def test_malformed_flag_is_a_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["small-verma", "--alpha=1/0", "--beta", "0", "--depth", "4",
+      "--out", "m.json"], "not a"),
+    (["small-verma", "--alpha=abc", "--beta", "0", "--depth", "4",
+      "--out", "m.json"], "not a"),
+    (["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "-1",
+      "--out", "m.json"], "not a"),
+    (["elementary", "--alpha=-1", "--beta=2/0", "--out", "m.json"], "not a"),
+    (["verify", "rtt", "m.json", "--at", "3"], "unrecognized arguments: --at"),
+    (["verify", "gauss", "m.json", "--seed", "4"],
+     "unrecognized arguments: --seed"),
+], ids=["alpha-1/0", "alpha-abc", "depth-negative", "elementary-beta-2/0",
+        "verify-rtt-at", "verify-gauss-seed"])
+def test_malformed_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv,
+                                         message):
+    """A bad flag value, or a flag the command does not use, exits 2 before
+    any module file is read or written."""
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "m.json")])
+        main(argv)
     assert exc.value.code == 2
-    assert "not a" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -278,6 +289,16 @@ def _flip_sign(d):
     return d
 
 
+def _non_polynomial_c(d):
+    """c(u) times (u+1/5)/(u+2/7): c(u) d(u-kappa) d(u) keeps a pole."""
+    c = RatFunc(UniPoly([rat(x) for x in d["c"]["num"]]),
+                UniPoly([rat(x) for x in d["c"]["den"]]))
+    c = c * RatFunc.linear_ratio(rat(1, 5), rat(2, 7))
+    d["c"] = {"num": [rat_str(x) for x in c.num.coeffs],
+              "den": [rat_str(x) for x in c.den.coeffs]}
+    return d
+
+
 def _zero_top_weight(d):
     h = d["highest_index"]
     d["T"]["11"][1] = [t for t in d["T"]["11"][1] if t[:2] != [h, h]]
@@ -295,12 +316,14 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
     (VERMA, ["drinfeld", MOD], None, "unbalanced roots"),
     (L2, ["verify", "rtt", MOD], _flip_sign, "RTT fails"),
     (L2, ["verify", "central", MOD], _flip_sign, "central relation fails"),
+    (L2, ["verify", "central", MOD], _non_polynomial_c, "not a polynomial"),
     (L2, ["verify", "gauss", MOD], _flip_sign, "Gauss relations fail"),
     (L2, ["verify", "gauss", MOD, "--at", "0"], None, "d(0) = 0"),
     (L2, ["osp", MOD], _zero_top_weight, "F_11 entry"),
 ], ids=["classify-no-highest-vector", "drinfeld-no-highest-vector",
         "drinfeld-not-dominant", "rtt-relation-violation",
-        "central-relation-violation", "gauss-relation-violation",
+        "central-relation-violation", "central-non-polynomial-target",
+        "gauss-relation-violation",
         "gauss-singular-matrix", "osp-weight-mismatch"])
 def test_failed_check_exits_1(tmp_path, capsys, build, argv, corrupt, message):
     mod = tmp_path / "m.json"

@@ -10,11 +10,11 @@ from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
 from yosp._linalg import zeros
 from yosp.rep_core import (Factor, TruncatedInput, apply_twist,
                            build_elementary, build_small_verma, load_module,
-                           save_module, to_json_dict)
+                           save_module, to_json_dict, vector_representation)
 from yosp.hopf_tensor import (HighestWeight, NoHighestVector, _kron_accumulate,
                               central_from_hw, dual_module, elementary_hw,
-                              highest_weight_of, tensor_modules)
-from yosp.super_linalg import bar, iprime, theta
+                              highest_weight_of, tensor_modules, tii_eigenvalue)
+from yosp.super_linalg import OperatorPoly, bar, iprime, theta
 
 from dense import sparse
 
@@ -109,6 +109,35 @@ def test_no_highest_vector_on_degenerate_top():
     m = ModuleRep(space, UniPoly([ONE]), T, RatFunc.const(1), 0, [])
     with pytest.raises(NoHighestVector):
         highest_weight_of(m)
+
+
+MODULES = {"vector": vector_representation(),
+           "L(-2,0)": build_elementary(rat(-2), rat(0)),
+           "L(-1,0)xL(-5/2,-3/2)": tensor_modules(
+               build_elementary(rat(-1), rat(0)),
+               build_elementary(rat(-5, 2), rat(-3, 2))),
+           "M(-2/3,0)@6": build_small_verma(rat(-2, 3), rat(0), depth=6)}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_highest_weight_is_the_tii_eigenvalue_triple(name):
+    m = MODULES[name]
+    h = {m.highest_index: ONE}
+    assert highest_weight_of(m) == HighestWeight(
+        *(tii_eigenvalue(m, h, i) for i in range(1, 4)))
+    assert an.tii_eigenvalue is tii_eigenvalue
+
+
+def test_no_highest_vector_when_the_top_is_not_an_eigenvector():
+    """A T_33 entry from the top vector to another row: NoHighestVector."""
+    m = build_elementary(rat(-2), rat(0))
+    h = m.highest_index
+    rows = [[dict(r) for r in R] for R in m.op(3, 3).rows]
+    rows[0][h + 1][h] = ONE
+    T = [list(r) for r in m.T]
+    T[2][2] = OperatorPoly.from_rows(rows, 0)
+    with pytest.raises(NoHighestVector, match="eigenvector"):
+        highest_weight_of(dataclasses.replace(m, T=T))
 
 
 def test_central_from_hw_matches_stored_series():

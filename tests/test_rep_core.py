@@ -1,5 +1,6 @@
 """Tests for module construction: small Verma, elementary, vector, twists, IO."""
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -9,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from yosp.exact_arith import HALF, KAPPA, ONE, RatFunc, UniPoly, ZERO, rat
 from yosp.hopf_tensor import tensor_modules
-from yosp.rep_core import (Factor, MissingDepth, ModuleRep, apply_twist,
+from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
+                           ReconstructionInconsistent, apply_twist,
                            build_elementary, build_small_verma,
                            central_ratfunc, from_json_dict, load_module,
-                           save_module, small_verma_denominator, to_json_dict,
+                           reconstruct_full_T, save_module,
+                           small_verma_denominator, to_json_dict,
                            vector_representation)
+from yosp.super_linalg import GradedSpace
 
 from dense import dense, mat_vec
 
@@ -72,10 +76,45 @@ def test_weights_and_parities():
         assert m.space.parity[i] == (r + s) % 2
 
 
-def test_no_weight_shift_violations():
-    for m in (vector_representation(), build_elementary(rat(-3), rat(0)),
-              build_small_verma(rat(-1, 3), rat(0), 6)):
-        assert m.weight_shift_violations() == []
+def _graded_modules():
+    """L(-3,0), M(-1/3,0)@6 and a two-factor tensor product."""
+    return [build_elementary(rat(-3), rat(0)),
+            build_small_verma(rat(-1, 3), rat(0), 6),
+            tensor_modules(build_elementary(rat(-1), rat(0)),
+                           build_elementary(rat(-5, 2), rat(-3, 2)))]
+
+
+def _regraded(m, k, parity_flip=0, weight_shift=0):
+    """m with basis vector k's parity flipped and/or its weight moved."""
+    s = m.space
+    parity = tuple(p ^ parity_flip if a == k else p for a, p in enumerate(s.parity))
+    weight = tuple(w + weight_shift if a == k else w for a, w in enumerate(s.weight))
+    return dataclasses.replace(m, space=GradedSpace(s.dim, parity, weight, s.labels))
+
+
+def test_grading_holds_on_constructed_modules():
+    for m in [vector_representation()] + _graded_modules():
+        assert m.grading_violations() == []
+
+
+@pytest.mark.parametrize("change", [{"parity_flip": 1}, {"weight_shift": 1}],
+                         ids=["parity", "weight"])
+def test_grading_violations_flag_one_regraded_basis_vector(change):
+    """Each entry flagged touches the regraded vector; a flipped parity alone,
+    with every weight intact, is flagged too."""
+    for m in _graded_modules():
+        k = m.dim - 1
+        bad = _regraded(m, k, **change).grading_violations()
+        assert bad and all(k in (a, b) for _, _, a, b in bad)
+
+
+def test_reconstruction_refuses_a_broken_parity():
+    """The corner T_11, T_12, T_21 of L(-3,0) on a space with one parity
+    flipped passes the cross-relation but not the grading check."""
+    m = _regraded(build_elementary(rat(-3), rat(0)), 0, parity_flip=1)
+    stub = [[m.T[0][0], m.T[0][1], None], [m.T[1][0], None, None], [None] * 3]
+    with pytest.raises(ReconstructionInconsistent, match="parity"):
+        reconstruct_full_T(dataclasses.replace(m, T=stub))
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,6 @@ def test_bracket_const_odd_odd_is_anticommutator():
     assert B.coeffs[0][0][0] == 1 and B.coeffs[0][1][1] == 1
 
 
-def test_operator_poly_parity_violations():
-    s = _space2()
-    odd_op = _op([[[ZERO, ONE], [ZERO, ZERO]]], parity=1)
-    assert odd_op.parity_violations(s) == []
-    even_op = _op([[[ZERO, ONE], [ZERO, ZERO]]], parity=0)
-    assert even_op.parity_violations(s) != []
-
-
 # ---------------------------------------------------------------------------
 # Differential tests: the sparse operator algebra against a dense oracle, the
 # direct formulas on mat_add / mat_scale / mat_mul that visit every entry.
