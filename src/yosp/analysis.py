@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -190,6 +190,17 @@ def _combine(terms):
     return {k: v for k, v in acc.items() if v}
 
 
+def _require_grading(m: ModuleRep):
+    """RelationViolation, with the first offending entry (i, j, a, b) of T_ij
+    as witness, when m breaks its weight and parity grading."""
+    bad = m.grading_violations()
+    if bad:
+        i, j, a, b = bad[0]
+        raise RelationViolation(
+            f"grading fails: T_{i}{j} entry ({a},{b}) breaks the weight or "
+            f"parity grading ({len(bad)} such entries)", witness=bad[0])
+
+
 def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on a sample grid.
 
@@ -197,10 +208,11 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     clearing denominators, so exact agreement on the plain (deg d + 3)-per-axis
     grid u = base + k, v = u + 1/3 proves the identity, roots of d included;
     truncated modules are checked on source columns with a safety margin below
-    the cut.  Raises RelationViolation with a witness on failure,
-    TruncatedInput when no column lies below the margin, and returns a report
-    dict on success.
+    the cut.  Raises RelationViolation with a witness on failure or when m
+    breaks its grading, TruncatedInput when no column lies below the margin,
+    and returns a report dict on success.
     """
+    _require_grading(m)
     D = m.denom.degree
     base = random.Random(seed).randint(-6, 6)
     us = [rat(base + k) for k in range(D + 3)]
@@ -261,10 +273,11 @@ def verify_central(m: ModuleRep, seed: int = 0) -> dict:
     The left side is a polynomial of degree <= 2 deg d, so the right side
     must be one too, and agreement at the 2 deg d + 3 plain points
     base + 1/7 + k proves the identity, roots of d and poles of c included.
-    Raises RelationViolation with a witness on failure, or when
-    c(u) d(u-kappa) d(u) is not a polynomial, and TruncatedInput when no
-    column lies below the margin.
+    Raises RelationViolation with a witness on failure, when m breaks its
+    grading, or when c(u) d(u-kappa) d(u) is not a polynomial, and
+    TruncatedInput when no column lies below the margin.
     """
+    _require_grading(m)
     D = m.denom.degree
     base = random.Random(seed).randint(-6, 6)
     us = [base + rat(1, 7) + k for k in range(2 * D + 3)]
@@ -345,7 +358,9 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
     h_1(u0) h_3(u0+1/2) = h_2(u0) h_2(u0+1/2), and
     c(u0) = h_1(u0) h_1(u0+1)^{-1} h_2(u0+1) h_2(u0+3/2).
     The relations hold only on an exact module: TruncatedInput otherwise.
+    RelationViolation when m breaks its grading.
     """
+    _require_grading(m)
     m.require_exact("the Gauss check")
     u0 = rat(u0)
     g0 = _gauss_at(m, u0)
@@ -379,6 +394,11 @@ def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
             if i < j or not upper_only for R in m.op(i, j).rows]
 
 
+def _lowering_matrices(m: ModuleRep):
+    """The sparse-row u-coefficients of T_21, T_31 and T_32."""
+    return [R for i, j in ((2, 1), (3, 1), (3, 2)) for R in m.op(i, j).rows]
+
+
 def _restrict(rows, idxs):
     """Sparse rows cut to the columns idxs, renumbered 0, 1, ...; empty rows dropped."""
     pos = {c: k for k, c in enumerate(idxs)}
@@ -400,23 +420,65 @@ def singular_vectors(m: ModuleRep) -> Subspace:
     return Subspace(basis)
 
 
+def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
+    """True when m is exact and v is singular and a t_ii(u) eigenvector
+    for i = 1, 2, 3."""
+    if m.truncated or any(sparse_mat_vec(R, v)
+                          for R in _coeff_matrices(m, upper_only=True)):
+        return False
+    try:
+        for i in range(1, 4):
+            tii_eigenvalue(m, v, i)
+    except ValueError:
+        return False
+    return True
+
+
+def _integer_rows(rows):
+    """Sparse rows times the lcm of their entries' denominators: integers."""
+    L = _den_lcm([rows])
+    return [{c: x.numerator * (L // x.denominator) for c, x in row.items()}
+            for row in rows]
+
+
+def _primitive(v: Dict[int, int]) -> Dict[int, int]:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*v.values())
+    return v if g == 1 else {c: x // g for c, x in v.items()}
+
+
 def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     """Closure of span{v} under all coefficient matrices of all nine T_ij,
     with its reduced echelon basis; v is a sparse {basis index: entry} dict.
-    ValueError when v is zero."""
+    ValueError when v is zero.
+
+    When m is exact and v is a highest vector (singular and a t_ii(u)
+    eigenvector for i = 1, 2, 3), only the coefficients of T_21, T_31 and
+    T_32 are applied.  This assumes m satisfies the RTT relation: then the
+    triangular decomposition X = X^- X^0 X^+ of the Yangian holds (Molev,
+    Yangians and Classical Lie Algebras, AMS 2007), X^+ and X^0 map v to
+    multiples of v, and so X v = X^- v, the span of the lowering
+    coefficients applied repeatedly to v.  Every other (m, v) spins all nine
+    operators.  The spin runs in integers: each coefficient matrix is scaled
+    by the lcm of its denominators and each new vector divided by the gcd of
+    its entries.  Neither scaling changes a span, and the reduced echelon
+    basis of a span is unique, so the basis does not depend on the path.
+    """
     v = _sparse_input(v)
     span = Span()
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
-    mats = _coeff_matrices(m)
-    frontier = [v]
+    mats = [_integer_rows(R) for R in (
+        _lowering_matrices(m) if _is_highest_vector(m, v)
+        else _coeff_matrices(m))]
+    frontier = [_primitive(_integer_rows([v])[0])]
     while frontier:
         nxt = []
         for x in frontier:
             for R in mats:
                 y = sparse_mat_vec(R, x)
                 if span.add(y):
-                    nxt.append(y)
+                    nxt.append(_primitive(y))
         frontier = nxt
     return Subspace(span.basis())
 

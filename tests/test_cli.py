@@ -289,6 +289,13 @@ def _flip_sign(d):
     return d
 
 
+def _flip_last_parity(d):
+    """The last basis vector's parity flipped: still 0 or 1, so the file
+    loads, but T_ij no longer respects the grading."""
+    d["basis"][-1]["parity"] ^= 1
+    return d
+
+
 def _non_polynomial_c(d):
     """c(u) times (u+1/5)/(u+2/7): c(u) d(u-kappa) d(u) keeps a pole."""
     c = RatFunc(UniPoly([rat(x) for x in d["c"]["num"]]),
@@ -320,11 +327,16 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
     (L2, ["verify", "gauss", MOD], _flip_sign, "Gauss relations fail"),
     (L2, ["verify", "gauss", MOD, "--at", "0"], None, "d(0) = 0"),
     (L2, ["osp", MOD], _zero_top_weight, "F_11 entry"),
+    (L2, ["verify", "rtt", MOD], _flip_last_parity, "grading fails"),
+    (L2, ["verify", "central", MOD], _flip_last_parity, "grading fails"),
+    (L2, ["verify", "gauss", MOD], _flip_last_parity, "grading fails"),
 ], ids=["classify-no-highest-vector", "drinfeld-no-highest-vector",
         "drinfeld-not-dominant", "rtt-relation-violation",
         "central-relation-violation", "central-non-polynomial-target",
         "gauss-relation-violation",
-        "gauss-singular-matrix", "osp-weight-mismatch"])
+        "gauss-singular-matrix", "osp-weight-mismatch",
+        "rtt-broken-grading", "central-broken-grading",
+        "gauss-broken-grading"])
 def test_failed_check_exits_1(tmp_path, capsys, build, argv, corrupt, message):
     mod = tmp_path / "m.json"
     assert main(build + ["--out", str(mod)]) == 0
