@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.  Vectors and matrix rows are
 sparse {index: nonzero entry} dicts; row reduction (rank, kernels, inverses,
-spans) runs through one sparse echelon Span.  Dense matrices serve only the
-Gauss spot check, the R-matrix constant and OperatorPoly's dense views.
-mat_add, mat_sub, mat_scale and mat_mul stay dense while perfbench/layers.py
-wraps them by name, until the benchmark refresh (ROADMAP E0)."""
+spans) runs through one sparse echelon Span.  Dense matrices (lists of rows)
+remain only where perfbench pins them by name or type, until the benchmark
+refresh (ROADMAP E0): zeros, mat_sub, mat_scale and mat_mul, which the Gauss
+check computes with, and mat_add (all in WRAPPED; mat_mul in matmul36_ms);
+the dense I/O of inverse, and sparse_vec; OperatorPoly's dense constructor,
+coeffs, coeff(k) and eval (_flipped_copy, digest, _tensor_probe, muladd_ns)."""
 
 from __future__ import annotations
 
@@ -17,13 +19,6 @@ class SingularMatrix(ArithmeticError):
 def zeros(n: int, m: int = None):
     m = n if m is None else m
     return [[ZERO] * m for _ in range(n)]
-
-
-def eye(n: int):
-    out = zeros(n)
-    for i in range(n):
-        out[i][i] = ONE
-    return out
 
 
 def mat_add(A, B):
@@ -164,10 +159,6 @@ class Span:
 
     def contains(self, v) -> bool:
         return not self.reduce(v)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
 
     def pivots(self):
         return sorted(self._rows)

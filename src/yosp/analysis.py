@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
-from ._linalg import (SingularMatrix, Span, add_multiple, eye, inverse,
-                      mat_mul, mat_scale, mat_sub, nullspace, rank,
-                      sparse_mat_vec)
+from ._linalg import (SingularMatrix, Span, add_multiple, inverse, mat_mul,
+                      mat_scale, mat_sub, nullspace, rank, sparse_mat_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import ModuleRep, TruncatedInput, to_json_dict
@@ -41,7 +40,8 @@ class NotInvariant(ValueError):
 
 
 class NotDominant(ValueError):
-    """lambda_2/lambda_1 is not of the form P(u+1)/P(u) for a monic P."""
+    """lambda_2/lambda_1 is not P(u+1)/P(u) for a monic P with rational roots;
+    a monic P in Q[u] with irrational roots (u^2 - 2, say) is refused too."""
 
 
 class WeightMismatch(ArithmeticError):
@@ -94,7 +94,7 @@ def module_digest(m: ModuleRep) -> str:
 # distinct points beyond the degree bound certifies, roots of d(u) included.
 # ---------------------------------------------------------------------------
 
-_RC = OperatorPoly(build_P_Q_R()[2], 0).rows
+_RC = build_P_Q_R()[2]
 
 
 # A truncated module is exact only away from its cut: the relation verifiers
@@ -375,7 +375,8 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
                       == mat_mul(g0["h2"], g_half["h2"]))
     cu = mat_mul(mat_mul(g0["h1"], inverse(g1["h1"])),
                  mat_mul(g1["h2"], g32["h2"]))
-    checks["cu"] = cu == mat_scale(eye(n), m.c(u0))
+    c = m.c(u0)
+    checks["cu"] = cu == [[c if a == b else ZERO for b in range(n)] for a in range(n)]
     if not all(checks.values()):
         failed = [k for k, v in checks.items() if not v]
         raise RelationViolation(f"Gauss relations fail at u0={u0}: {failed}",
@@ -385,7 +386,8 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Submodule structure
+# Submodule structure.  singular_vectors, cyclic_span and quotient_module
+# (so is_irreducible too) first refuse a module that breaks its grading.
 # ---------------------------------------------------------------------------
 
 def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
@@ -409,6 +411,7 @@ def _restrict(rows, idxs):
 def singular_vectors(m: ModuleRep) -> Subspace:
     """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by
     weight, as sparse vectors: one per free index of each weight space."""
+    _require_grading(m)
     raising = [row for R in _coeff_matrices(m, upper_only=True) for row in R]
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
@@ -464,6 +467,7 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     its entries.  Neither scaling changes a span, and the reduced echelon
     basis of a span is unique, so the basis does not depend on the path.
     """
+    _require_grading(m)
     v = _sparse_input(v)
     span = Span()
     if not span.add(v):
@@ -485,6 +489,7 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
 
 def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     """Induced action on the complement of an invariant subspace."""
+    _require_grading(m)
     span = Span()
     for b in k.basis:
         if len({m.space.weight[i] for i in b}) > 1:
@@ -642,7 +647,8 @@ def drinfeld_polynomial(hw: HighestWeight) -> DrinfeldPoly:
 
     Roots of numerator and denominator are grouped into Z-cosets and matched
     in sorted order; every matched difference must be a nonnegative integer,
-    and each match contributes the string of roots it spans.
+    and each match contributes the string of roots it spans.  Only rational
+    roots are found: P = u^2 - 2 raises NotDominant, though P is monic.
     """
     mu = hw.l2 / hw.l1
     if mu.num.degree != mu.den.degree or mu.num.leading() != 1:

@@ -92,12 +92,6 @@ class UniPoly:
         return UniPoly([(a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO)
                         for i in range(n)])
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = rat(other)
@@ -225,16 +219,6 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
-        other = other if isinstance(other, RatFunc) else RatFunc.const(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
     def __mul__(self, other):
         other = other if isinstance(other, RatFunc) else RatFunc.const(other)
         return RatFunc(self.num * other.num, self.den * other.den)
@@ -256,9 +240,6 @@ class RatFunc:
 
     def shift(self, a) -> "RatFunc":
         return RatFunc(self.num.shift(a), self.den.shift(a))
-
-    def reflect(self, c=ZERO) -> "RatFunc":
-        return RatFunc(self.num.reflect(c), self.den.reflect(c))
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"

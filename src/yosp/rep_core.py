@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional
 
 from .exact_arith import (DegreeError, HALF, KAPPA, ONE, RatFunc, Scalar,
@@ -106,12 +107,15 @@ class ModuleRep:
 
     def grading_violations(self):
         """Entries (i, j, a, b) of T_ij breaking the weight grading
-        w(a) - w(b) = w_i - w_j or the parity |a| + |b| = |i| + |j| (mod 2)."""
+        w(a) - w(b) = w_i - w_j or the parity |a| + |b| = |i| + |j| (mod 2),
+        on weights scaled to integers by the lcm L of their denominators."""
         bad = []
-        wt, par = self.space.weight, self.space.parity
+        par = self.space.parity
+        L = lcm(*(w.denominator for w in self.space.weight))
+        wt = [w.numerator * (L // w.denominator) for w in self.space.weight]
         for i in range(1, 4):
             for j in range(1, 4):
-                shift, odd = W_SHIFT[i] - W_SHIFT[j], (bar(i) + bar(j)) % 2
+                shift, odd = (W_SHIFT[i] - W_SHIFT[j]) * L, (bar(i) + bar(j)) % 2
                 bad.extend((i, j, a, b) for R in self.op(i, j).rows
                            for a, row in enumerate(R) for b in row
                            if wt[a] - wt[b] != shift or par[a] ^ par[b] != odd)

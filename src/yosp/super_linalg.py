@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Tuple
 
-from .exact_arith import KAPPA, Scalar, UniPoly, rat
-from ._linalg import (add_multiple, eye, mat_add, mat_scale, mat_sub,
-                      sparse_vec, zeros)
+from .exact_arith import KAPPA, ONE, Scalar, UniPoly, rat
+from ._linalg import add_multiple, sparse_vec, zeros
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
 THETA = (None, 1, 1, -1)
@@ -76,7 +75,7 @@ def st_sign(i: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 # The operators P, Q and the R-matrix on C^{1|2} x C^{1|2}.
 #
-# Everything is stored as a plain rational matrix in the convention where the
+# Everything is stored as sparse rational rows in the convention where the
 # entries of a multi-leg operator are the coefficients relative to the
 # standard product basis and a two-leg element x (x) y placed in legs p < q
 # carries the sign (-1)^{|x| * (parity of the source indices of the legs
@@ -91,20 +90,23 @@ def _pair_index(a: int, b: int) -> int:
 
 
 def build_P_Q_R():
-    """Return (P, Q, Rc): the permutation-type operator P with
+    """Return (P, Q, Rc) as sparse rows: the permutation-type operator P with
     P[(i,j),(j,i)] = (-1)^{bar i bar j}, its partial super-transpose Q with
     Q[(i,i'),(j,j')] = (-1)^{bar j} theta_i theta_j, and the coefficient list
     of the cleared R-matrix u(u-kappa)R(u) = kappa P + u(-kappa-P+Q) + u^2."""
-    P = zeros(9)
-    Q = zeros(9)
+    P = [{} for _ in range(9)]
+    Q = [{} for _ in range(9)]
     for i in range(1, 4):
         for j in range(1, 4):
-            P[_pair_index(i, j)][_pair_index(j, i)] += rat((-1) ** (bar(i) * bar(j)))
-            Q[_pair_index(i, iprime(i))][_pair_index(j, iprime(j))] += \
+            P[_pair_index(i, j)][_pair_index(j, i)] = rat((-1) ** (bar(i) * bar(j)))
+            Q[_pair_index(i, iprime(i))][_pair_index(j, iprime(j))] = \
                 rat((-1) ** bar(j) * theta(i) * theta(j))
-    c0 = mat_scale(P, KAPPA)
-    c1 = mat_add(mat_sub(mat_scale(eye(9), -KAPPA), P), Q)
-    c2 = eye(9)
+    c0 = [{b: KAPPA * x for b, x in row.items()} for row in P]
+    c1 = [{a: -KAPPA} for a in range(9)]
+    for row, p, q in zip(c1, P, Q):
+        add_multiple(row, -1, p)
+        add_multiple(row, 1, q)
+    c2 = [{a: ONE} for a in range(9)]
     return P, Q, [c0, c1, c2]
 
 

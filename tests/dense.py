@@ -2,7 +2,7 @@
 and takes and returns sparse {index: entry} vectors; the tests build dense
 inputs and check dense views (`eval`, `coeffs`) with these."""
 
-from yosp.exact_arith import ZERO
+from yosp.exact_arith import ONE, ZERO
 
 
 def mat_vec(A, v):
@@ -23,3 +23,13 @@ def sparse_rows(A):
 def dense(v, n):
     """A sparse {index: entry} dict as a dense vector of length n."""
     return [v.get(i, ZERO) for i in range(n)]
+
+
+def dense_rows(rows, n):
+    """Sparse rows over n columns as a dense matrix."""
+    return [dense(r, n) for r in rows]
+
+
+def eye(n):
+    """The dense n x n identity."""
+    return [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]

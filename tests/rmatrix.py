@@ -8,9 +8,11 @@ from yosp.exact_arith import rat
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.super_linalg import _pair_index, bar, build_P_Q_R
 
+from dense import dense_rows
+
 
 def rc_eval(Rc, w):
-    """Evaluate the cleared R-matrix coefficient list at w."""
+    """Evaluate a dense cleared R-matrix coefficient list at w."""
     w = rat(w)
     return mat_add(Rc[0], mat_add(mat_scale(Rc[1], w), mat_scale(Rc[2], w * w)))
 
@@ -50,7 +52,7 @@ def embed_two_leg(R9, legs: Tuple[int, int], nlegs: int = 3):
 def ybe_holds_at(u, v) -> bool:
     """Yang-Baxter on (C^{1|2})^{(x)3} at a sample point, denominators cleared."""
     u, v = rat(u), rat(v)
-    _, _, Rc = build_P_Q_R()
+    Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
     r12 = embed_two_leg(rc_eval(Rc, u - v), (0, 1))
     r13 = embed_two_leg(rc_eval(Rc, u), (0, 2))
     r23 = embed_two_leg(rc_eval(Rc, v), (1, 2))

@@ -23,6 +23,7 @@ from yosp.rep_core import (build_elementary, build_small_verma,
                            vector_representation)
 from yosp.super_linalg import OperatorPoly, bar, build_P_Q_R, iprime, theta
 
+from dense import dense_rows
 from rmatrix import rc_eval
 
 
@@ -53,7 +54,7 @@ def oracle_rtt(m, seed=0, margin=4):
     us = [rat(base + k) for k in range(D + 3)]
     vs = [u0 + rat(1, 3) for u0 in us]
     cols = an._checked_cols(m, margin)
-    Rc = build_P_Q_R()[2]
+    Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
     n = m.dim
     samples = []
     for u0 in us:

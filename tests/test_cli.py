@@ -313,6 +313,7 @@ def _zero_top_weight(d):
 
 
 MOD = object()  # stands for the module file's path in argv
+OUT = object()  # stands for an output file's path in argv
 L2 = ["elementary", "--alpha", "-2", "--beta", "0"]
 VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
 
@@ -330,20 +331,28 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
     (L2, ["verify", "rtt", MOD], _flip_last_parity, "grading fails"),
     (L2, ["verify", "central", MOD], _flip_last_parity, "grading fails"),
     (L2, ["verify", "gauss", MOD], _flip_last_parity, "grading fails"),
+    (L2, ["irreducible", MOD], _flip_last_parity, "grading fails"),
+    (L2, ["singular", MOD], _flip_last_parity, "grading fails"),
+    (L2, ["quotient", MOD, "--out", OUT], _flip_last_parity, "grading fails"),
 ], ids=["classify-no-highest-vector", "drinfeld-no-highest-vector",
         "drinfeld-not-dominant", "rtt-relation-violation",
         "central-relation-violation", "central-non-polynomial-target",
         "gauss-relation-violation",
         "gauss-singular-matrix", "osp-weight-mismatch",
         "rtt-broken-grading", "central-broken-grading",
-        "gauss-broken-grading"])
+        "gauss-broken-grading", "irreducible-broken-grading",
+        "singular-broken-grading", "quotient-broken-grading"])
 def test_failed_check_exits_1(tmp_path, capsys, build, argv, corrupt, message):
     mod = tmp_path / "m.json"
     assert main(build + ["--out", str(mod)]) == 0
     if corrupt:
         mod.write_text(json.dumps(corrupt(json.loads(mod.read_text()))))
     capsys.readouterr()
-    assert main([str(mod) if a is MOD else a for a in argv]) == 1
+    out = tmp_path / "out.json"
+    argv = [str(mod) if a is MOD else str(out) if a is OUT else a
+            for a in argv]
+    assert main(argv) == 1
+    assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL: ") and message in captured.out
     assert captured.err == ""

@@ -17,7 +17,7 @@ from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
                            reconstruct_full_T, save_module,
                            small_verma_denominator, to_json_dict,
                            vector_representation)
-from yosp.super_linalg import GradedSpace
+from yosp.super_linalg import GradedSpace, bar
 
 from dense import dense, mat_vec
 
@@ -97,15 +97,30 @@ def test_grading_holds_on_constructed_modules():
         assert m.grading_violations() == []
 
 
-@pytest.mark.parametrize("change", [{"parity_flip": 1}, {"weight_shift": 1}],
-                         ids=["parity", "weight"])
+def _fraction_violations(m):
+    """The grading check with Fraction weight differences, entry by entry."""
+    shift = (None, 1, 0, -1)
+    wt, par = m.space.weight, m.space.parity
+    return [(i, j, a, b) for i in range(1, 4) for j in range(1, 4)
+            for R in m.op(i, j).rows for a, row in enumerate(R) for b in row
+            if wt[a] - wt[b] != shift[i] - shift[j]
+            or par[a] ^ par[b] != (bar(i) + bar(j)) % 2]
+
+
+@pytest.mark.parametrize("change", [{"parity_flip": 1}, {"weight_shift": 1},
+                                    {"weight_shift": HALF}],
+                         ids=["parity", "weight", "half-weight"])
 def test_grading_violations_flag_one_regraded_basis_vector(change):
     """Each entry flagged touches the regraded vector; a flipped parity alone,
-    with every weight intact, is flagged too."""
+    with every weight intact, is flagged too.  A weight moved by 1/2 changes
+    the lcm the integer check scales by; the list, in order, is the one a
+    Fraction comparison gives."""
     for m in _graded_modules():
         k = m.dim - 1
-        bad = _regraded(m, k, **change).grading_violations()
+        regraded = _regraded(m, k, **change)
+        bad = regraded.grading_violations()
         assert bad and all(k in (a, b) for _, _, a, b in bad)
+        assert bad == _fraction_violations(regraded)
 
 
 def test_reconstruction_refuses_a_broken_parity():

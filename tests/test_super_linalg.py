@@ -6,20 +6,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yosp.exact_arith import KAPPA, ONE, UniPoly, ZERO, rat
-from yosp._linalg import eye, mat_add, mat_mul, mat_scale, zeros
+from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R,
                                iprime, st_sign, theta)
 
-from dense import sparse_rows
+from dense import dense_rows, eye, sparse_rows
 from rmatrix import rc_eval, ybe_holds_at
 
 P, Q, RC = build_P_Q_R()
+P, Q, RC = dense_rows(P, 9), dense_rows(Q, 9), [dense_rows(C, 9) for C in RC]
 
 
 def test_index_conventions():
     assert [bar(i) for i in (1, 2, 3)] == [1, 0, 1]
     assert [theta(i) for i in (1, 2, 3)] == [1, 1, -1]
     assert [iprime(i) for i in (1, 2, 3)] == [3, 2, 1]
+
+
+def test_p_q_r_are_sparse_rows_without_zeros():
+    p, q, rc = build_P_Q_R()
+    for M in [p, q, *rc]:
+        assert len(M) == 9
+        assert all(isinstance(row, dict) and all(row.values()) for row in M)
 
 
 def test_p_is_an_involution():

@@ -76,7 +76,7 @@ def test_span_basis_is_the_rref_in_any_order(A, rnd):
     rnd.shuffle(rows)
     span = Span()
     grew = [span.add(sparse(r)) for r in rows]
-    assert sum(grew) == span.dim == len(pivots)
+    assert sum(grew) == len(span.pivots()) == len(pivots)
     assert span.basis() == sparse_rows(from_sympy(R)[:len(pivots)])
     assert span.pivots() == list(pivots)
     for r in map(sparse, A):
@@ -106,7 +106,7 @@ def test_span_reduce_is_the_remainder(A, coeffs):
     red = span.reduce(sparse(v))
     assert not set(red) & set(span.pivots())
     diff = [x - red.get(c, 0) for c, x in enumerate(v)]
-    assert rank(sparse_rows(A + [diff])) == span.dim
+    assert rank(sparse_rows(A + [diff])) == len(span.pivots())
     in_rowspace = to_sympy(A + [v]).rank() == to_sympy(A).rank()
     assert (red == {}) == in_rowspace == span.contains(sparse(v))
 
