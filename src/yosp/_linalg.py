@@ -5,11 +5,17 @@ remain only where perfbench pins them by name or type, until the benchmark
 refresh (ROADMAP E0): zeros, mat_sub, mat_scale and mat_mul, which the Gauss
 check computes with, and mat_add (all in WRAPPED; mat_mul in matmul36_ms);
 the dense I/O of inverse, and sparse_vec; OperatorPoly's dense constructor,
-coeffs, coeff(k) and eval (_flipped_copy, digest, _tensor_probe, muladd_ns)."""
+coeffs, coeff(k) and eval (_flipped_copy, digest, _tensor_probe, muladd_ns).
+
+One integer-scaling pair, integer_rows and scalar_rows, clears denominators
+by their lcm so that tensor_modules, OperatorPoly's bracket_const and
+_combine, the relation verifiers and cyclic_span add plain int products."""
 
 from __future__ import annotations
 
-from .exact_arith import ZERO, ONE, rat
+from math import lcm
+
+from .exact_arith import ZERO, ONE, Scalar, rat
 
 
 class SingularMatrix(ArithmeticError):
@@ -54,6 +60,19 @@ def sparse_vec(v):
     """A dense vector as a sparse {index: entry} dict of its nonzeros;
     testing `x is ZERO` first skips the shared zero without a Scalar call."""
     return {c: x for c, x in enumerate(v) if x is not ZERO and x}
+
+
+def integer_rows(mats):
+    """(L, [L * R for R in mats]): L is the lcm of the denominators of every
+    entry of the sparse-row matrices, and the scaled rows hold ints."""
+    L = lcm(*{x.denominator for R in mats for row in R for x in row.values()})
+    return L, [[{c: x.numerator * (L // x.denominator) for c, x in row.items()}
+                for row in R] for R in mats]
+
+
+def scalar_rows(rows, L):
+    """Integer sparse rows divided by L, as Scalar rows without zeros."""
+    return [{c: Scalar(v, L) for c, v in row.items() if v} for row in rows]
 
 
 def add_multiple(r, f, row):

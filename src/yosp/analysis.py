@@ -19,12 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
-from ._linalg import (SingularMatrix, Span, add_multiple, inverse, mat_mul,
-                      mat_scale, mat_sub, nullspace, rank, sparse_mat_vec)
+from ._linalg import (SingularMatrix, Span, add_multiple, integer_rows,
+                      inverse, mat_mul, mat_scale, mat_sub, nullspace, rank,
+                      sparse_mat_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import ModuleRep, TruncatedInput, to_json_dict
-from .hopf_tensor import HighestWeight, _sparse_input, tii_eigenvalue  # re-export
+from .hopf_tensor import (HighestWeight, _integer_ops, _sparse_input,
+                          tii_eigenvalue)  # re-export
 
 
 class RelationViolation(ArithmeticError):
@@ -114,23 +116,16 @@ def _checked_cols(m: ModuleRep, margin: int):
     return cols
 
 
-def _den_lcm(coeffs):
-    """The lcm of the denominators of the entries of sparse-row coefficients."""
-    return lcm(*{x.denominator for R in coeffs for row in R
-                 for x in row.values()})
-
-
-def _int_rows(coeffs, E, L):
-    """L * sum_k coeffs[k] u^k for sparse-row coefficients, as sparse rows:
-    per row, (column, integer coefficients ascending, padded to degree E)
-    for each nonzero entry."""
+def _int_rows(coeffs, E):
+    """sum_k coeffs[k] u^k for integer sparse-row coefficients, as sparse
+    rows: per row, (column, integer coefficients ascending, padded to degree
+    E) for each nonzero entry."""
     out = []
     for r in range(len(coeffs[0])):
         ints = {}
         for k, R in enumerate(coeffs):
             for c, x in R[r].items():
-                ints.setdefault(c, [0] * (E + 1))[k] = \
-                    x.numerator * (L // x.denominator)
+                ints.setdefault(c, [0] * (E + 1))[k] = x
         out.append(list(ints.items()))
     return out
 
@@ -155,8 +150,8 @@ def _int_module(m: ModuleRep):
     """(E, L, ops): E bounds the degree of every T_ij, L is the lcm of all
     their denominators, and ops[i][j] is _int_rows of T_ij."""
     E = max(len(op.rows) for row in m.T for op in row) - 1
-    L = _den_lcm([R for row in m.T for op in row for R in op.rows])
-    return E, L, [[_int_rows(op.rows, E, L) for op in row] for row in m.T]
+    L, ints = _integer_ops(m)
+    return E, L, [[_int_rows(coeffs, E) for coeffs in row] for row in ints]
 
 
 def _eval_T(ops, E, x):
@@ -222,7 +217,7 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     width = len(cols)
     E, _, ops = _int_module(m)
     deg_r = len(_RC) - 1
-    rc = _int_rows(_RC, deg_r, _den_lcm(_RC))
+    rc = _int_rows(integer_rows(_RC)[1], deg_r)
     # Block (e, f) = ((A,B), (C,D)) of T_1(u) T_2(v), resp. T_2(v) T_1(u),
     # carries the Koszul sign -1 when |A|+|C| and |B|, resp. |D|, are odd.
     idx = [(e // 3 + 1, e % 3 + 1) for e in range(9)]
@@ -437,13 +432,6 @@ def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
     return True
 
 
-def _integer_rows(rows):
-    """Sparse rows times the lcm of their entries' denominators: integers."""
-    L = _den_lcm([rows])
-    return [{c: x.numerator * (L // x.denominator) for c, x in row.items()}
-            for row in rows]
-
-
 def _primitive(v: Dict[int, int]) -> Dict[int, int]:
     """An integer vector divided by the gcd of its entries."""
     g = gcd(*v.values())
@@ -472,10 +460,10 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     span = Span()
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
-    mats = [_integer_rows(R) for R in (
+    mats = [integer_rows([R])[1][0] for R in (
         _lowering_matrices(m) if _is_highest_vector(m, v)
         else _coeff_matrices(m))]
-    frontier = [_primitive(_integer_rows([v])[0])]
+    frontier = [_primitive(integer_rows([[v]])[1][0][0])]
     while frontier:
         nxt = []
         for x in frontier:

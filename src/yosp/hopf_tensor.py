@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
-from ._linalg import add_multiple, sparse_mat_vec
+from ._linalg import integer_rows, scalar_rows, sparse_mat_vec
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -54,41 +54,54 @@ def central_from_hw(hw: HighestWeight) -> RatFunc:
 
 def tensor_modules(a: ModuleRep, b: ModuleRep) -> ModuleRep:
     """Module on the tensor product space via the coproduct; each factor
-    keeps its own truncation depth."""
+    keeps its own truncation depth.  The products accumulate in integers:
+    each factor's coefficients are scaled once by the lcm of their
+    denominators, and each output entry is divided by both scales."""
     space = a.space.tensor(b.space)
     denom = a.denom * b.denom
     D = denom.degree
     n = space.dim
     T = [[None] * 3 for _ in range(3)]
     src_par_a = a.space.parity
+    (La, ints_a), (Lb, ints_b) = (_integer_ops(m) for m in (a, b))
     for i in range(1, 4):
         for j in range(1, 4):
             rows = [[{} for _ in range(n)] for _ in range(D + 1)]
             for k in range(1, 4):
                 op_b = (bar(k) + bar(j)) % 2
-                for p, Ap in enumerate(a.op(i, k).rows):
-                    for q, Bq in enumerate(b.op(k, j).rows):
+                for p, Ap in enumerate(ints_a[i - 1][k - 1]):
+                    for q, Bq in enumerate(ints_b[k - 1][j - 1]):
                         _kron_accumulate(rows[p + q], Ap, Bq, op_b, src_par_a)
             T[i - 1][j - 1] = OperatorPoly.from_rows(
-                rows, (bar(i) + bar(j)) % 2).trim()
+                [scalar_rows(R, La * Lb) for R in rows],
+                (bar(i) + bar(j)) % 2).trim()
     hi = a.highest_index * b.dim + b.highest_index
     return ModuleRep(space, denom, T, a.c * b.c, hi, list(a.factors) + list(b.factors))
+
+
+def _integer_ops(m: ModuleRep):
+    """(L, ints): ints[i][j] holds L times the coefficients of T_{i+1,j+1}
+    as integer sparse rows, L the lcm of all their denominators."""
+    L, ints = integer_rows([R for row in m.T for op in row for R in op.rows])
+    it = iter(ints)
+    return L, [[[next(it) for _ in op.rows] for op in row] for row in m.T]
 
 
 def _kron_accumulate(out, A, B, op_parity_b, source_parity_a):
     """out += A (x) B on sparse rows, with the Koszul sign of B passing A's
     source vector: entry ((i,k),(j,l)) gains A[i][j] B[k][l]
-    (-1)^{op_parity_b parity(e_j)}."""
+    (-1)^{op_parity_b parity(e_j)}.  Sums that cancel stay stored as 0."""
     nb = len(B)
-    moved = {}  # column j of A -> the rows of B moved to columns (j, l)
+    rows_b = [(k, rowb) for k, rowb in enumerate(B) if rowb]
     for i, rowa in enumerate(A):
         for j, x in rowa.items():
-            if j not in moved:
-                moved[j] = [(k, {j * nb + l: y for l, y in rowb.items()})
-                            for k, rowb in enumerate(B) if rowb]
             coef = -x if (op_parity_b and source_parity_a[j]) else x
-            for k, rowb in moved[j]:
-                add_multiple(out[i * nb + k], coef, rowb)
+            base = j * nb
+            for k, rowb in rows_b:
+                r = out[i * nb + k]
+                get = r.get
+                for l, y in rowb.items():
+                    r[base + l] = get(base + l, 0) + coef * y
     return out
 
 

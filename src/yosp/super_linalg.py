@@ -12,11 +12,11 @@ will catch it there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 from typing import Tuple
 
 from .exact_arith import KAPPA, ONE, Scalar, UniPoly, rat
-from ._linalg import add_multiple, sparse_vec, zeros
+from ._linalg import add_multiple, integer_rows, scalar_rows, sparse_vec, zeros
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
 THETA = (None, 1, 1, -1)
@@ -158,15 +158,20 @@ class OperatorPoly:
 
     def _combine(self, n: int, terms):
         """The n coefficients out[k] = sum of c * R over the terms
-        (R, [(k, c), ...]) of sparse rows R."""
+        (R, [(k, c), ...]) of sparse rows R, summed in integers over L Lc,
+        the lcms of the denominators of the rows and of the c's."""
+        L, mats = integer_rows([R for R, _ in terms])
+        Lc = lcm(*{c.denominator for _, targets in terms for _, c in targets})
         out = [[{} for _ in range(self.dim)] for _ in range(n)]
-        for R, targets in terms:
+        for R, (_, targets) in zip(mats, terms):
             for k, c in targets:
                 if c:
+                    c = c.numerator * (Lc // c.denominator)
                     for o, row in zip(out[k], R):
                         if row:
                             add_multiple(o, c, row)
-        return OperatorPoly.from_rows(out, self.op_parity)
+        return OperatorPoly.from_rows([scalar_rows(R, L * Lc) for R in out],
+                                      self.op_parity)
 
     def __add__(self, other):
         return self._combine(max(len(self.rows), len(other.rows)),
@@ -206,16 +211,19 @@ class OperatorPoly:
 
     def bracket_const(self, M, m_parity: int):
         """[self(u), M] = C M - (-1)^{|C||M|} M C for each coefficient C
-        (super-bracket) and M given as sparse rows, formed row by row."""
+        (super-bracket) and M given as sparse rows, formed row by row in
+        integers over Lc Lm, the lcms of the denominators of C and of M."""
         sign = 1 if (self.op_parity and m_parity) else -1
+        Lc, Cs = integer_rows(self.rows)
+        Lm, (M,) = integer_rows([M])
         out = []
-        for C in self.rows:
+        for C in Cs:
             R = [{} for _ in C]
             for left, right, s in ((C, M, 1), (M, C, sign)):
                 for o, row in zip(R, left):
                     for j, x in row.items():
-                        add_multiple(o, x if s == 1 else -x, right[j])
-            out.append(R)
+                        add_multiple(o, x * s, right[j])
+            out.append(scalar_rows(R, Lc * Lm))
         return OperatorPoly.from_rows(out, (self.op_parity + m_parity) % 2)
 
     def trim(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from yosp import analysis as an
-from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
+from yosp.exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
 from yosp._linalg import zeros
 from yosp.rep_core import (Factor, TruncatedInput, apply_twist,
                            build_elementary, build_small_verma, load_module,
@@ -220,7 +220,10 @@ def oracle_tensor_coeffs(a, b, i, j):
      lambda: build_small_verma(rat(-2, 5), 0, 4)),
 ], ids=["L(-1,0)xL(-2,0)", "M(-1/3,0)@4xM(-2/5,0)@4"])
 def test_tensor_matches_dense_kron_oracle(a, b):
-    a, b = a(), b()
+    _assert_tensor_matches_oracle(a(), b())
+
+
+def _assert_tensor_matches_oracle(a, b):
     tp = tensor_modules(a, b)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -228,6 +231,45 @@ def test_tensor_matches_dense_kron_oracle(a, b):
             got = tp.op(i, j)
             assert got.op_parity == (bar(i) + bar(j)) % 2
             assert [got.coeff(k) for k in range(len(want))] == want
+    assert _stores_no_zero(tp)
+
+
+# Exact elementary modules L(a/q, a/q + k) and truncated small Verma modules
+# M(a/q, b/r) at depth <= 4, with parameter denominators 1 to 5.
+_factor = st.one_of(
+    st.builds(lambda a, q, k: build_elementary(rat(a, q), rat(a, q) + k),
+              st.integers(-5, 3), st.integers(1, 5), st.integers(0, 2)),
+    st.builds(lambda a, q, b, r, d: build_small_verma(rat(a, q), rat(b, r), d),
+              st.integers(-5, 3), st.integers(1, 5), st.integers(-5, 3),
+              st.integers(1, 5), st.integers(0, 4)))
+
+
+# No shrink phase: shrinking a failure through module builds takes minutes.
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_factor, _factor)
+def test_tensor_matches_dense_kron_oracle_on_random_pairs(a, b):
+    """The integer Kronecker kernel against the dense Fraction oracle on
+    random pairs, truncated factors among them."""
+    _assert_tensor_matches_oracle(a, b)
+
+
+# module_digest values recorded with the Fraction kernels that the integer
+# kernels replaced: the module files they write are byte-identical.
+GOLDEN_DIGESTS = {"M(-2/3,0)@16": "2139a0dafc18",
+                  "L(-2,0)xL(-2,0)xL(-1,0)": "3f5658328e63",
+                  "dual": "13bedb0e0676",
+                  "twist a=1/2": "e1b9e6f5cec2"}
+
+
+def test_module_digests_are_pinned():
+    t = tensor_modules(tensor_modules(build_elementary(-2, 0),
+                                      build_elementary(-2, 0)),
+                       build_elementary(-1, 0))
+    got = {"M(-2/3,0)@16": build_small_verma(rat(-2, 3), 0, 16),
+           "L(-2,0)xL(-2,0)xL(-1,0)": t, "dual": dual_module(t),
+           "twist a=1/2": apply_twist(t, a=HALF)}
+    assert {k: an.module_digest(m) for k, m in got.items()} == GOLDEN_DIGESTS
 
 
 def _l2_l1():
@@ -278,8 +320,9 @@ def test_truncated_tensor_file_round_trip(tmp_path):
 
 
 def _stores_no_zero(m):
-    return all(x for row in m.T for op in row for R in op.rows
-               for r in R for x in r.values())
+    """Every stored entry is a nonzero Scalar, never a bare int."""
+    return all(isinstance(x, Scalar) and x for row in m.T for op in row
+               for R in op.rows for r in R for x in r.values())
 
 
 _elementary = st.builds(
@@ -292,11 +335,12 @@ _elementary = st.builds(
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_elementary, _elementary, st.integers(0, 35))
 def test_tensor_dual_and_quotient_store_no_zero(a, b, i):
-    """No zero in the operators of a tensor product, its dual and its
-    quotient by the submodule a basis vector generates, nor in their files,
-    which list entries in row-major order."""
+    """No zero and no bare int in the operators of a tensor product, its
+    dual, its u -> u + 1/2 twist and its quotient by the submodule a basis
+    vector generates, nor a zero in their files, which list entries in
+    row-major order."""
     t = tensor_modules(a, b)
-    results = [t, dual_module(t)]
+    results = [t, dual_module(t), apply_twist(t, a=HALF)]
     span = an.cyclic_span(t, sparse([ONE if k == i % t.dim else ZERO
                                      for k in range(t.dim)]))
     if span.dim < t.dim:

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yosp.exact_arith import KAPPA, ONE, UniPoly, ZERO, rat
+from yosp.exact_arith import KAPPA, ONE, Scalar, UniPoly, ZERO, rat
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R,
                                iprime, st_sign, theta)
@@ -246,7 +246,10 @@ def test_bracket_const_matches_dense_oracle(data):
 # ---------------------------------------------------------------------------
 
 def stores_no_zero(op):
-    return all(x for R in op.rows for row in R for x in row.values())
+    """Every stored entry is a nonzero Scalar: the integer kernels behind
+    _combine and bracket_const never leave a bare int behind."""
+    return all(isinstance(x, Scalar) and x
+               for R in op.rows for row in R for x in row.values())
 
 
 @settings(max_examples=60, deadline=None)
