@@ -13,7 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,18 +86,14 @@ def module_digest(m: ModuleRep) -> str:
 # Relation verifiers
 #
 # Both verifiers compare sparse integer matrices.  A point x = a/q is
-# evaluated once as q^E L T_ij(x), where E bounds the degree of every T_ij
-# and L is the lcm of all their coefficient denominators; R(w) is cleared
-# the same way.  Each side of either relation is bilinear in the two
-# evaluations of T and linear in R, so these nonzero per-point factors scale
-# both sides alike and do not change whether they agree.  Only the checked
-# columns of a product are formed.  The sample grids are plain progressions
-# that skip no point: both cleared sides are polynomials, so any grid of
-# distinct points beyond the degree bound certifies, roots of d(u) included.
+# evaluated once as q^E L T_ij(x) (E bounds every deg T_ij, L is the lcm of
+# their coefficient denominators); R(w) is cleared the same way.  Each side
+# of either relation is bilinear in the evaluations of T and linear in R, so
+# these nonzero factors scale both sides alike.  Only the checked columns of
+# a product are formed.  The sample points are plain progressions that skip
+# no point: the cleared sides are polynomials, so distinct points beyond the
+# degree bound certify, roots of d(u) included.
 # ---------------------------------------------------------------------------
-
-_RC = build_P_Q_R()[2]
-
 
 # A truncated module is exact only away from its cut: the relation verifiers
 # compare columns RELATION_MARGIN levels below it, and singular vectors are
@@ -128,6 +124,9 @@ def _int_rows(coeffs, E):
                 ints.setdefault(c, [0] * (E + 1))[k] = x
         out.append(list(ints.items()))
     return out
+
+
+_RC = _int_rows(integer_rows(build_P_Q_R()[2])[1], 2)  # cleared R, degree 2
 
 
 def _eval_rows(rows, E, x):
@@ -197,27 +196,27 @@ def _require_grading(m: ModuleRep):
 
 
 def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
-    """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on a sample grid.
+    """Certify R(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R(u-v) on S x S.
 
-    Both sides are polynomials of degree <= deg d + 2 in each variable after
-    clearing denominators, so exact agreement on the plain (deg d + 3)-per-axis
-    grid u = base + k, v = u + 1/3 proves the identity, roots of d included;
-    truncated modules are checked on source columns with a safety margin below
-    the cut.  Raises RelationViolation with a witness on failure or when m
-    breaks its grading, TruncatedInput when no column lies below the margin,
-    and returns a report dict on success.
+    Cleared, both sides have degree <= deg d + 2 in each variable, so
+    agreement on S x S, S = {base + 2k : k < deg d + 3}, proves the identity.
+    Only pairs (s_i, s_j), i < j, are multiplied out ("by": "product").  For
+    even T (the grading check), P Rc(w) P = Rc(w) and Rc(w) Rc(-w) =
+    (w^2-1)(w^2-9/4) make the relation at (u, v) imply it at (v, u) when
+    (u-v)^2 is not 1 or 9/4; S's differences are nonzero even integers
+    ("mirror").  Rc(0) = kappa P makes it hold at u = v ("diagonal").
+    Truncated modules are checked on columns a margin below the cut.
+    RelationViolation (witness: the first failing pair, row-major) on
+    failure or a broken grading; TruncatedInput when no column is left.
     """
     _require_grading(m)
     D = m.denom.degree
     base = random.Random(seed).randint(-6, 6)
-    us = [rat(base + k) for k in range(D + 3)]
-    vs = [u0 + rat(1, 3) for u0 in us]
+    S = [rat(base + 2 * k) for k in range(D + 3)]
     cols = _checked_cols(m, RELATION_MARGIN)
     colpos = {c: k for k, c in enumerate(cols)}
     width = len(cols)
     E, _, ops = _int_module(m)
-    deg_r = len(_RC) - 1
-    rc = _int_rows(integer_rows(_RC)[1], deg_r)
     # Block (e, f) = ((A,B), (C,D)) of T_1(u) T_2(v), resp. T_2(v) T_1(u),
     # carries the Koszul sign -1 when |A|+|C| and |B|, resp. |D|, are odd.
     idx = [(e // 3 + 1, e % 3 + 1) for e in range(9)]
@@ -225,13 +224,9 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
            for C, _ in idx] for A, B in idx]
     sy = [[-1 if (bar(A) + bar(C)) % 2 and bar(Dd) else 1
            for C, Dd in idx] for A, _ in idx]
-    at_v = [_eval_T(ops, E, v0) for v0 in vs]
-    at_v = [(Tv, _cut(Tv, colpos)) for Tv in at_v]
-    samples = []
-    for u0 in us:
-        Tu = _eval_T(ops, E, u0)
-        Tu_cut = _cut(Tu, colpos)
-        for v0, (Tv, Tv_cut) in zip(vs, at_v):
+    at = [(T, _cut(T, colpos)) for T in (_eval_T(ops, E, s) for s in S)]
+    for i, (u0, (Tu, Tu_cut)) in enumerate(zip(S, at)):
+        for v0, (Tv, Tv_cut) in zip(S[i + 1:], at[i + 1:]):
             X, Y = [None] * 81, [None] * 81
             for e, (A, B) in enumerate(idx):
                 for f, (C, Dd) in enumerate(idx):
@@ -239,7 +234,7 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
                                          width)
                     Y[9 * e + f] = _prod(Tv[B - 1][Dd - 1], Tu_cut[A - 1][C - 1],
                                          width)
-            R = _eval_rows(rc, deg_r, u0 - v0)
+            R = _eval_rows(_RC, 2, u0 - v0)
             R_cols = [[] for _ in range(9)]
             for p, row in enumerate(R):
                 for e, c in row:
@@ -255,9 +250,11 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
                             f"RTT fails at (u,v)=({u0},{v0}) "
                             f"block ({p},{f}) entry ({t},{cols[s]})",
                             witness=(u0, v0, (p, f, t, cols[s])))
-            samples.append({"u": rat_str(u0), "v": rat_str(v0), "pass": True})
+    samples = [{"u": rat_str(u0), "v": rat_str(v0), "pass": True,
+                "by": "product" if i < j else "mirror" if i > j else "diagonal"}
+               for i, u0 in enumerate(S) for j, v0 in enumerate(S)]
     return {"check": "rtt", "module_digest": module_digest(m),
-            "degree_bound": [D + 2, D + 2], "grid": [len(us), len(vs)],
+            "degree_bound": [D + 2, D + 2], "grid": [len(S), len(S)],
             "samples": samples, "columns_checked": width,
             "backend": Scalar.__qualname__, "result": "pass"}
 
@@ -381,8 +378,8 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Submodule structure.  singular_vectors, cyclic_span and quotient_module
-# (so is_irreducible too) first refuse a module that breaks its grading.
+# Submodule structure.  Each entry point refuses a module that breaks its
+# grading once, then runs the unchecked _singular_vectors, _cyclic_span, ...
 # ---------------------------------------------------------------------------
 
 def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
@@ -407,6 +404,10 @@ def singular_vectors(m: ModuleRep) -> Subspace:
     """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by
     weight, as sparse vectors: one per free index of each weight space."""
     _require_grading(m)
+    return _singular_vectors(m)
+
+
+def _singular_vectors(m):
     raising = [row for R in _coeff_matrices(m, upper_only=True) for row in R]
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
@@ -450,12 +451,15 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     Yangians and Classical Lie Algebras, AMS 2007), X^+ and X^0 map v to
     multiples of v, and so X v = X^- v, the span of the lowering
     coefficients applied repeatedly to v.  Every other (m, v) spins all nine
-    operators.  The spin runs in integers: each coefficient matrix is scaled
-    by the lcm of its denominators and each new vector divided by the gcd of
-    its entries.  Neither scaling changes a span, and the reduced echelon
-    basis of a span is unique, so the basis does not depend on the path.
+    operators.  The spin runs in integers (matrices scaled by the lcm of
+    their denominators, new vectors divided by their gcd); no scaling
+    changes a span, and its reduced echelon basis is unique.
     """
     _require_grading(m)
+    return _cyclic_span(m, v)
+
+
+def _cyclic_span(m, v):
     v = _sparse_input(v)
     span = Span()
     if not span.add(v):
@@ -478,6 +482,10 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
 def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
     """Induced action on the complement of an invariant subspace."""
     _require_grading(m)
+    return _quotient_module(m, k)
+
+
+def _quotient_module(m, k):
     span = Span()
     for b in k.basis:
         if len({m.space.weight[i] for i in b}) > 1:
@@ -512,9 +520,8 @@ def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
                         tuple(m.space.parity[i] for i in keep),
                         tuple(m.space.weight[i] for i in keep),
                         tuple(m.space.labels[i] for i in keep))
-    if m.highest_index in pos:
-        hi = pos[m.highest_index]
-    else:
+    hi = pos.get(m.highest_index)
+    if hi is None:
         hi = max(range(n), key=lambda a: space.weight[a])
     return ModuleRep(space, m.denom, T, m.c, hi, list(m.factors))
 
@@ -525,8 +532,9 @@ def is_irreducible(m: ModuleRep):
     Returns (bool, certificate dict).
     """
     m.require_exact("irreducibility")
-    sing = singular_vectors(m)
-    span = cyclic_span(m, {m.highest_index: ONE})
+    _require_grading(m)
+    sing = _singular_vectors(m)
+    span = _cyclic_span(m, {m.highest_index: ONE})
     ok = sing.dim == 1 and span.dim == m.dim
     cert = {"singular_dim": sing.dim, "cyclic_dim": span.dim, "dim": m.dim}
     if sing.dim > 1:
@@ -585,10 +593,7 @@ def _poly_rational_roots(p: UniPoly):
     roots: Dict[Scalar, int] = {}
     if p.is_zero():
         return roots, p
-    while p.degree > 0 and p.coeffs[0] == 0:
-        roots[ZERO] = roots.get(ZERO, 0) + 1
-        p = UniPoly(p.coeffs[1:])
-    while p.degree > 0:
+    while p.degree > 0:  # a zero constant term gives the root 0 first
         root = _find_rational_root(p)
         if root is None:
             break
@@ -612,22 +617,12 @@ def _find_rational_root(p: UniPoly) -> Optional[Scalar]:
 
 
 def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def _expand(roots: Dict[Scalar, int]) -> List[Scalar]:
-    out = []
-    for r, m in roots.items():
-        out.extend([r] * m)
-    return out
+    return [r for r, m in roots.items() for _ in range(m)]
 
 
 def drinfeld_polynomial(hw: HighestWeight) -> DrinfeldPoly:
@@ -690,14 +685,10 @@ def character_of(m: ModuleRep) -> WeightCharacter:
                                   reverse=True))
 
 
-def _base_series(n: int) -> int:
-    """Coefficient of q^n in 1/((1-q)(1-q^2))."""
-    return n // 2 + 1 if n >= 0 else 0
-
-
 def closed_character(numer: Dict[int, int], offsets: range) -> List[int]:
-    """Coefficients of (sum_j numer[j] q^j) / ((1-q)(1-q^2)) at the offsets."""
-    return [sum(c * _base_series(p - j) for j, c in numer.items())
+    """Coefficients of (sum_j numer[j] q^j) / ((1-q)(1-q^2)) at the offsets;
+    1/((1-q)(1-q^2)) = sum_n (n // 2 + 1) q^n."""
+    return [sum(c * ((p - j) // 2 + 1) for j, c in numer.items() if p >= j)
             for p in offsets]
 
 

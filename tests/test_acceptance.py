@@ -1,12 +1,14 @@
 """Acceptance suite: one criterion per test, one PASS/FAIL line per criterion."""
 
+import json
 import random
 
 import pytest
 
 from yosp.exact_arith import HALF, RatFunc, UniPoly, ZERO, ONE, rat
 from yosp._linalg import Span
-from yosp.rep_core import (build_elementary, build_small_verma,
+from yosp.cli import main
+from yosp.rep_core import (build_elementary, build_small_verma, save_module,
                            vector_representation)
 from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
@@ -59,6 +61,43 @@ def test_criterion_2_rtt_certification(rtt_suite):
         ok = ok and report["result"] == "pass"
         ok = ok and len(report["samples"]) > m.denom.degree + 2
     _report(2, "RTT holds on vector rep, L(-k,0) k<=4, pairwise tensors", ok)
+
+
+def _assert_covers_s_x_s(report, n):
+    """The report lists all n^2 points of S x S, row-major: the pairs i < j
+    multiplied out, each mirror (s_j, s_i) of one of them, and the diagonal."""
+    samples = report["samples"]
+    assert report["grid"] == [n, n] and len(samples) == n * n
+    S = [s["v"] for s in samples[:n]]
+    assert [(s["u"], s["v"]) for s in samples] == [(u, v) for u in S for v in S]
+    by = {(s["u"], s["v"]): s["by"] for s in samples}
+    assert list(by.values()).count("product") == n * (n - 1) // 2
+    assert list(by.values()).count("mirror") == n * (n - 1) // 2
+    for (u, v), how in by.items():
+        assert how == ("diagonal" if u == v else
+                       "product" if S.index(u) < S.index(v) else "mirror")
+        if how == "mirror":
+            assert by[v, u] == "product"
+
+
+def test_criterion_2_reports_cover_s_x_s(rtt_suite, monkeypatch, tmp_path,
+                                         capsys):
+    """Criterion 2's RTT reports, from the library and from
+    `yosp verify rtt --json`, cover S x S, and verify_rtt multiplies out
+    only the (D+3)(D+2)/2 pairs i < j: 162 block products each."""
+    products = []
+    prod = an._prod
+    monkeypatch.setattr(an, "_prod",
+                        lambda *args: products.append(1) or prod(*args))
+    path = str(tmp_path / "m.json")
+    for name, m in rtt_suite.items():
+        n = m.denom.degree + 3
+        del products[:]
+        _assert_covers_s_x_s(an.verify_rtt(m, seed=3), n)
+        assert len(products) == 162 * (n * (n - 1) // 2), name
+        save_module(m, path)
+        assert main(["verify", "rtt", path, "--seed", "3", "--json"]) == 0
+        _assert_covers_s_x_s(json.loads(capsys.readouterr().out), n)
 
 
 def test_criterion_3_central_and_consistency(rtt_suite):

@@ -9,8 +9,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from yosp.exact_arith import HALF, KAPPA, RatFunc, UniPoly, ZERO, ONE, rat
 from yosp._linalg import SingularMatrix, inverse, mat_mul, mat_sub
-from yosp.rep_core import (build_elementary, build_small_verma,
-                           vector_representation)
+from yosp.cli import main
+from yosp.rep_core import (ModuleRep, build_elementary, build_small_verma,
+                           save_module, vector_representation)
 from yosp.hopf_tensor import (elementary_hw, highest_weight_of,
                               tensor_modules)
 from yosp import analysis as an
@@ -18,6 +19,7 @@ from yosp import analysis as an
 from characters import (char_elementary_half, char_elementary_int,
                         char_small_verma, character_prefix, multiplicity)
 from dense import dense, mat_vec, sparse
+from test_rep_core import _regraded
 
 
 def _unit(m, label):
@@ -47,18 +49,22 @@ def _zeta(tp):
 def test_rtt_vector_representation():
     report = an.verify_rtt(vector_representation(), seed=1)
     assert report["result"] == "pass"
-    # deg d = 2: a (deg d + 3)-point grid on each axis
+    # deg d = 2: S x S for the deg d + 3 points S = {-4, -2, 0, 2, 4}
     assert report["grid"] == [5, 5] and len(report["samples"]) == 25
+    assert [s["u"] for s in report["samples"][::5]] == ["-4", "-2", "0", "2", "4"]
+    assert [s["v"] for s in report["samples"][:5]] == ["-4", "-2", "0", "2", "4"]
 
 
 def test_rtt_samples_a_root_of_d():
     """The grid skips no point: seed 0 puts u = 0, a root of
-    d(u) = (u-5/2)u, on the grid of L(-2,0), and the relation holds there."""
+    d(u) = (u-5/2)u, into S = {0, 2, 4, 6, 8} for L(-2,0), and the relation
+    holds there, multiplied out at the pairs (0, s) with s > 0."""
     m = build_elementary(rat(-2), rat(0))
     assert m.denom(ZERO) == 0
     report = an.verify_rtt(m, seed=0)
     assert report["result"] == "pass"
-    assert [s["u"] for s in report["samples"][::5]] == ["0", "1", "2", "3", "4"]
+    assert [s["u"] for s in report["samples"][::5]] == ["0", "2", "4", "6", "8"]
+    assert [s["by"] for s in report["samples"][:5]] == ["diagonal"] + ["product"] * 4
 
 
 def test_rtt_elementary_and_truncated():
@@ -337,6 +343,40 @@ def test_truncation_margins_are_sound(alpha, beta, depth, extra):
 def test_is_irreducible_rejects_truncated():
     with pytest.raises(an.TruncatedInput):
         an.is_irreducible(build_small_verma(rat(-1, 3), rat(0), depth=4))
+
+
+def test_structure_entry_points_refuse_a_broken_grading():
+    L2 = build_elementary(rat(-2), rat(0))
+    bad = _regraded(L2, L2.dim - 1, parity_flip=1)
+    span = an.Subspace([{bad.highest_index: ONE}])
+    for call in (lambda: an.singular_vectors(bad),
+                 lambda: an.cyclic_span(bad, {bad.highest_index: ONE}),
+                 lambda: an.quotient_module(bad, span),
+                 lambda: an.is_irreducible(bad)):
+        with pytest.raises(an.RelationViolation, match="grading fails"):
+            call()
+
+
+def _count_grading_checks(monkeypatch):
+    calls = []
+    check = ModuleRep.grading_violations
+    monkeypatch.setattr(ModuleRep, "grading_violations",
+                        lambda m: calls.append(m) or check(m))
+    return calls
+
+
+def test_structure_entry_points_check_the_grading_once(monkeypatch, tmp_path):
+    """is_irreducible and `yosp quotient` run the grading check once, not
+    once per step."""
+    tp = _example_tensor()
+    calls = _count_grading_checks(monkeypatch)
+    an.is_irreducible(tp)
+    assert len(calls) == 1
+    src, out = str(tmp_path / "t.json"), str(tmp_path / "q.json")
+    save_module(tp, src)
+    del calls[:]
+    assert main(["quotient", src, "--out", out]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,36 @@ def test_p_fixes_q():
     assert mat_mul(Q, P) == Q
 
 
+def _poly_mat_mul(A, B):
+    """The product of two matrix polynomials given by coefficient lists."""
+    out = [zeros(9, 9) for _ in range(len(A) + len(B) - 1)]
+    for a, X in enumerate(A):
+        for b, Y in enumerate(B):
+            out[a + b] = mat_add(out[a + b], mat_mul(X, Y))
+    return out
+
+
 def test_r_matrix_crossing_scalar():
-    """Rc(u) Rc(-u) is a scalar matrix, symmetric under u -> -u."""
-    for u in (rat(5, 2), rat(3), rat(-7, 3)):
-        R1 = rc_eval(RC, u)
-        R2 = rc_eval(RC, -u)
-        prod = mat_mul(R1, R2)
-        off = [prod[i][j] for i in range(9) for j in range(9) if i != j]
-        assert all(x == 0 for x in off)
-        assert all(prod[i][i] == prod[0][0] for i in range(9))
-        assert prod[0][0] == mat_mul(R2, R1)[0][0]
+    """Rc(u) Rc(-u) = (u^2-1)(u^2-kappa^2) 1 as polynomials, kappa^2 = 9/4:
+    the identity verify_rtt's mirrored pairs rest on."""
+    assert KAPPA ** 2 == rat(9, 4)
+    rc_minus = [mat_scale(C, (-1) ** k) for k, C in enumerate(RC)]
+    scalar = UniPoly([-ONE, ZERO, ONE]) * UniPoly([-KAPPA ** 2, ZERO, ONE])
+    want = [mat_scale(eye(9), c) for c in scalar.coeffs]
+    assert _poly_mat_mul(RC, rc_minus) == want
+    assert _poly_mat_mul(rc_minus, RC) == want
+
+
+def test_r_matrix_is_p_symmetric():
+    """P Rc(u) P = Rc(u), coefficient by coefficient."""
+    for C in RC:
+        assert mat_mul(mat_mul(P, C), P) == C
+
+
+def test_r_matrix_at_zero_is_kappa_p():
+    """Rc(0) = kappa P: the relation holds on the diagonal u = v."""
+    assert RC[0] == mat_scale(P, KAPPA)
+    assert rc_eval(RC, 0) == mat_scale(P, KAPPA)
 
 
 def test_yang_baxter_equation():
