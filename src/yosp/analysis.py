@@ -13,9 +13,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
@@ -42,8 +42,9 @@ class NotInvariant(ValueError):
 
 
 class NotDominant(ValueError):
-    """lambda_2/lambda_1 is not P(u+1)/P(u) for a monic P with rational roots;
-    a monic P in Q[u] with irrational roots (u^2 - 2, say) is refused too."""
+    """lambda_2/lambda_1 is not P(u+1)/P(u) for any monic P in Q[u]: the
+    degree it forces is not in Z_+, or the gcd dispersion of
+    drinfeld_polynomial leaves roots that no string within that degree pairs."""
 
 
 class WeightMismatch(ArithmeticError):
@@ -588,80 +589,37 @@ def check_tensor_criterion(pairs: Sequence[Tuple]) -> bool:
 # Drinfeld polynomials
 # ---------------------------------------------------------------------------
 
-def _poly_rational_roots(p: UniPoly):
-    """All rational roots with multiplicities plus the rootless cofactor."""
-    roots: Dict[Scalar, int] = {}
-    if p.is_zero():
-        return roots, p
-    while p.degree > 0:  # a zero constant term gives the root 0 first
-        root = _find_rational_root(p)
-        if root is None:
-            break
-        roots[root] = roots.get(root, 0) + 1
-        p = p // UniPoly([-root, ONE])
-    return roots, p
-
-
-def _find_rational_root(p: UniPoly) -> Optional[Scalar]:
-    L = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (L // c.denominator) for c in p.coeffs]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        return ZERO
-    for pn in _divisors(abs(a0)):
-        for qn in _divisors(abs(an)):
-            for cand in (rat(pn, qn), rat(-pn, qn)):
-                if p(cand) == 0:
-                    return cand
-    return None
-
-
-def _divisors(n: int):
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted({*small, *(n // d for d in small)})
-
-
-def _expand(roots: Dict[Scalar, int]) -> List[Scalar]:
-    return [r for r, m in roots.items() for _ in range(m)]
-
-
 def drinfeld_polynomial(hw: HighestWeight) -> DrinfeldPoly:
-    """The monic P with lambda_2(u)/lambda_1(u) = P(u+1)/P(u).
+    """The monic P with lambda_2(u)/lambda_1(u) = P(u+1)/P(u), by gcd dispersion.
 
-    Roots of numerator and denominator are grouped into Z-cosets and matched
-    in sorted order; every matched difference must be a nonnegative integer,
-    and each match contributes the string of roots it spans.  Only rational
-    roots are found: P = u^2 - 2 raises NotDominant, though P is monic.
+    With lambda_2/lambda_1 = N/D in lowest terms, deg P = S is the subleading
+    coefficient of N minus that of D.  For h = 1, 2, ..., g = gcd(N(u), D(u+h))
+    pairs roots n of N with roots n + h of D, and g(u-1)...g(u-h) joins P.  No
+    root is computed, so P may have irrational roots.  Unmatched roots of N
+    then need strings of length >= h each, so h deg N > S refuses: at most
+    S / deg N + 1 steps of one shift and one gcd however small the
+    coefficients (a refusal at S = 10^4, deg N = 2 stops after 5,000 gcds).
     """
     mu = hw.l2 / hw.l1
-    if mu.num.degree != mu.den.degree or mu.num.leading() != 1:
+    N, D = mu.num, mu.den
+    if N.degree != D.degree or N.leading() != 1:
         raise NotDominant("lambda_2/lambda_1 is not a ratio of equal-degree "
                           "monic polynomials")
-    nroots, nrest = _poly_rational_roots(mu.num)
-    droots, drest = _poly_rational_roots(mu.den)
-    if nrest.degree > 0 or drest.degree > 0:
-        raise NotDominant("irrational roots cannot form integer strings")
-    by_coset: Dict[Scalar, Tuple[List[Scalar], List[Scalar]]] = {}
-    for r in _expand(nroots):
-        key = r - r.numerator // r.denominator
-        by_coset.setdefault(key, ([], []))[0].append(r)
-    for r in _expand(droots):
-        key = r - r.numerator // r.denominator
-        by_coset.setdefault(key, ([], []))[1].append(r)
-    proots: List[Scalar] = []
-    for key, (ns, ds) in by_coset.items():
-        if len(ns) != len(ds):
-            raise NotDominant(f"unbalanced roots in the coset of {key}")
-        ns.sort()
-        ds.sort()
-        for nr, dr in zip(ns, ds):
-            k = dr - nr
-            if not _is_znn(k):
-                raise NotDominant(f"difference {k} of matched roots "
-                                  f"({dr}, {nr}) is not in Z_+")
-            proots.extend(dr - j for j in range(int(k)))
-    proots.sort(reverse=True)
-    return DrinfeldPoly(UniPoly.from_roots(proots))
+    S = N.coeffs[-2] - D.coeffs[-2] if N.degree > 0 else ZERO
+    if not _is_znn(S):
+        raise NotDominant(f"deg P would be {S}, not in Z_+")
+    P, h = UniPoly([ONE]), 1
+    while N.degree > 0:
+        if h * N.degree > S:
+            raise NotDominant(f"{N.degree} unmatched root(s) need strings "
+                              f"of length >= {h} each, but deg P = {S}")
+        g = N.gcd(D.shift(h))
+        if g.degree > 0:
+            N, D, S = N // g, D // g.shift(-h), S - h * g.degree
+            for j in range(1, h + 1):
+                P = P * g.shift(-j)
+        h += 1
+    return DrinfeldPoly(P)
 
 
 def classify_finite_dim(hw: HighestWeight) -> bool:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt, lcm
+from typing import Dict, Optional
 
-from .exact_arith import ZERO, RatFunc, UniPoly, rat, rat_str
+from .exact_arith import ONE, ZERO, RatFunc, Scalar, UniPoly, rat, rat_str
 from ._linalg import SingularMatrix
 from .rep_core import (build_elementary, build_small_verma, load_module,
                        save_module)
@@ -14,23 +16,49 @@ from .hopf_tensor import (NoHighestVector, highest_weight_of, tensor_modules)
 from . import analysis as an
 
 
+def _poly_rational_roots(p: UniPoly):
+    """All rational roots with multiplicities plus the rootless cofactor."""
+    roots: Dict[Scalar, int] = {}
+    while p.degree > 0:  # a zero constant term gives the root 0 first
+        root = _find_rational_root(p)
+        if root is None:
+            break
+        roots[root] = roots.get(root, 0) + 1
+        p = p // UniPoly([-root, ONE])
+    return roots, p
+
+
+def _find_rational_root(p: UniPoly) -> Optional[Scalar]:
+    L = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (L // c.denominator) for c in p.coeffs]
+    a0, top = ints[0], ints[-1]
+    if a0 == 0:
+        return ZERO
+    for pn in _divisors(abs(a0)):
+        for qn in _divisors(abs(top)):
+            for cand in (rat(pn, qn), rat(-pn, qn)):
+                if p(cand) == 0:
+                    return cand
+    return None
+
+
+def _divisors(n: int):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
 def _fmt_poly(p: UniPoly) -> str:
     """Factored display, e.g. (u-1)(u-2); falls back to coefficient form."""
     if p.degree == 0:
         return rat_str(p.coeffs[0]) if p.coeffs else "0"
-    roots, rest = an._poly_rational_roots(p)
+    roots, rest = _poly_rational_roots(p)
     parts = []
     lead = rest.leading() if rest.degree > 0 else rest.coeffs[0]
     if lead != 1:
         parts.append(rat_str(lead))
     for r in sorted(roots, reverse=True):
         m = roots[r]
-        if r == 0:
-            t = "u"
-        elif r > 0:
-            t = f"(u-{rat_str(r)})"
-        else:
-            t = f"(u+{rat_str(-r)})"
+        t = f"(u{'-' if r > 0 else '+'}{rat_str(abs(r))})" if r else "u"
         parts.append(t if m == 1 else f"{t}^{m}")
     if rest.degree > 0:
         parts.append(f"[{rest.monic()}]")

@@ -63,13 +63,6 @@ class UniPoly:
         """The monic linear polynomial u + a."""
         return cls([rat(a), ONE])
 
-    @classmethod
-    def from_roots(cls, roots: Iterable) -> "UniPoly":
-        p = cls([ONE])
-        for r in roots:
-            p = p * cls([-rat(r), ONE])
-        return p
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

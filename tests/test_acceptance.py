@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from yosp.exact_arith import HALF, RatFunc, UniPoly, ZERO, ONE, rat
+from yosp.exact_arith import HALF, RatFunc, ZERO, ONE, rat
 from yosp._linalg import Span
 from yosp.cli import main
 from yosp.rep_core import (build_elementary, build_small_verma, save_module,
@@ -17,6 +17,7 @@ from yosp import analysis as an
 from characters import (char_elementary_half, char_elementary_int,
                         char_small_verma, character_prefix)
 from dense import mat_vec, sparse
+from polys import from_roots
 
 
 def _report(num, desc, ok):
@@ -131,8 +132,8 @@ def test_criterion_5_example_tensor_product():
     span = Span()
     for b in sing.basis:
         span.add(b)
-    mu = RatFunc(UniPoly.from_roots([rat(1, 2), rat(5, 2)]),
-                 UniPoly.from_roots([rat(3, 2), rat(3, 2)]))
+    mu = RatFunc(from_roots([rat(1, 2), rat(5, 2)]),
+                 from_roots([rat(3, 2), rat(3, 2)]))
     k = an.cyclic_span(tp, zeta)
     q = an.quotient_module(tp, k)
     irred, _ = an.is_irreducible(q)
@@ -240,8 +241,8 @@ def test_criterion_11_closing_example():
         l2 = an.tii_eigenvalue(m, v, 2)
         ok = ok and l1 == RatFunc.linear_ratio(rat(1), rat(0))
         ok = ok and l2 == RatFunc(
-            UniPoly.from_roots([rat(-1, 2), rat(k + 1)]),
-            UniPoly.from_roots([rat(0), rat(k) + HALF]))
+            from_roots([rat(-1, 2), rat(k + 1)]),
+            from_roots([rat(0), rat(k) + HALF]))
         span = an.cyclic_span(m, v)
         counts = {}
         for b in span.basis:

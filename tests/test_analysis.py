@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -19,6 +21,7 @@ from yosp import analysis as an
 from characters import (char_elementary_half, char_elementary_int,
                         char_small_verma, character_prefix, multiplicity)
 from dense import dense, mat_vec, sparse
+from polys import from_roots
 from test_rep_core import _regraded
 
 
@@ -206,8 +209,8 @@ def test_singular_space_invariant_under_t11():
 def test_tii_eigenvalues_on_zeta():
     tp = _example_tensor()
     z = _zeta(tp)
-    target = RatFunc(UniPoly.from_roots([rat(1, 2), rat(5, 2)]),
-                     UniPoly.from_roots([rat(3, 2), rat(3, 2)]))
+    target = RatFunc(from_roots([rat(1, 2), rat(5, 2)]),
+                     from_roots([rat(3, 2), rat(3, 2)]))
     assert an.tii_eigenvalue(tp, sparse(z), 1) == target
     assert an.tii_eigenvalue(tp, sparse(z), 2) == target
 
@@ -410,9 +413,9 @@ def test_criterion_bad_ordering_fails():
 
 def test_drinfeld_elementary_examples():
     P1 = an.drinfeld_polynomial(elementary_hw(rat(-1), rat(0)))
-    assert P1.P == UniPoly.from_roots([rat(1)])
+    assert P1.P == from_roots([rat(1)])
     P2 = an.drinfeld_polynomial(elementary_hw(rat(-2), rat(0)))
-    assert P2.P == UniPoly.from_roots([rat(1), rat(2)])
+    assert P2.P == from_roots([rat(1), rat(2)])
     assert RatFunc(P2.P.shift(1), P2.P) == elementary_hw(rat(-2), rat(0)).l2 / \
         elementary_hw(rat(-2), rat(0)).l1
 
@@ -436,49 +439,80 @@ def test_classify_finite_dim():
     assert not an.classify_finite_dim(elementary_hw(rat(-3, 2), rat(-1)))
 
 
-def _brute_force_drinfeld(mu):
-    """Try every root matching; return the unique monic P or None."""
-    nroots, nrest = an._poly_rational_roots(mu.num)
-    droots, drest = an._poly_rational_roots(mu.den)
-    assert nrest.degree == 0 and drest.degree == 0
-    ns = an._expand(nroots)
-    ds = an._expand(droots)
+def _brute_force_drinfeld(num_roots, den_roots):
+    """The unique monic P with P(u+1)/P(u) = prod(u - n) / prod(u - d) over
+    the given roots, by trying every matching of the roots left after
+    cancelling; None when no matching pairs each n with a d in n + Z_+."""
+    ns = list((Counter(num_roots) - Counter(den_roots)).elements())
+    ds = list((Counter(den_roots) - Counter(num_roots)).elements())
     if len(ns) != len(ds):
         return None
-    for perm in itertools.permutations(range(len(ds))):
-        diffs = [ds[p] - n for n, p in zip(ns, perm)]
-        if all(d >= 0 and d.denominator == 1 for d in diffs):
-            roots = []
-            for n, p in zip(ns, perm):
-                k = int(ds[p] - n)
-                roots.extend(ds[p] - j for j in range(k))
-            return UniPoly.from_roots(sorted(roots, reverse=True))
+    for perm in itertools.permutations(ds):
+        if all(d - n >= 0 and (d - n).denominator == 1
+               for n, d in zip(ns, perm)):
+            return from_roots(d - j for n, d in zip(ns, perm)
+                              for j in range(int(d - n)))
     return None
 
 
-def test_drinfeld_sorted_matching_agrees_with_brute_force():
+def test_drinfeld_dispersion_agrees_with_brute_force():
+    """Dominant products of random strings, and random rational roots that
+    are mostly not dominant, against every matching of the roots."""
     rng = random.Random(7)
-    for _ in range(25):
-        strings = []
-        for _ in range(rng.randint(1, 4)):
-            base = rat(rng.randint(-3, 3)) + rat(rng.randint(0, 2), 3)
-            strings.append((base, rng.randint(0, 3)))
-        proots = []
-        for base, k in strings:
-            proots.extend(base - j for j in range(k))
-        P = UniPoly.from_roots(proots)
-        mu = RatFunc(P.shift(1), P)
-        got = an.drinfeld_polynomial(_hw_from_mu(mu))
-        brute = _brute_force_drinfeld(mu)
-        assert brute is not None
-        assert got.P == brute
-        assert RatFunc(got.P.shift(1), got.P) == mu
+    for trial in range(50):
+        if trial % 2 == 0:
+            proots = []
+            for _ in range(rng.randint(1, 4)):
+                base = rat(rng.randint(-3, 3)) + rat(rng.randint(0, 2), 3)
+                proots.extend(base - j for j in range(rng.randint(0, 3)))
+            num_roots, den_roots = [r - 1 for r in proots], proots
+        else:
+            k = rng.randint(1, 4)
+            num_roots, den_roots = (
+                [rat(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                 for _ in range(k)] for _ in range(2))
+        mu = RatFunc(from_roots(num_roots), from_roots(den_roots))
+        brute = _brute_force_drinfeld(num_roots, den_roots)
+        if brute is None:
+            assert trial % 2 == 1
+            with pytest.raises(an.NotDominant):
+                an.drinfeld_polynomial(_hw_from_mu(mu))
+        else:
+            assert an.drinfeld_polynomial(_hw_from_mu(mu)).P == brute
+            assert RatFunc(brute.shift(1), brute) == mu
 
 
 def _hw_from_mu(mu):
     """A formal HighestWeight whose l2/l1 equals mu."""
     from yosp.hopf_tensor import HighestWeight
     return HighestWeight(RatFunc.const(1), mu, mu * mu.shift(HALF))
+
+
+def test_drinfeld_irrational_roots():
+    """P = (u^2 - 2)(u - 1) is monic in Q[u] with irrational roots."""
+    P = UniPoly([-2, 0, 1]) * UniPoly([-1, 1])
+    hw = _hw_from_mu(RatFunc(P.shift(1), P))
+    assert an.drinfeld_polynomial(hw).P == P
+    assert an.classify_finite_dim(hw)
+
+
+def test_drinfeld_terminates_on_large_coefficients():
+    """L(a,a+1) x L(b,b+1) x L(c,c+1) with seven-digit numerators, and a
+    non-dominant weight whose roots lie 1000 apart, each well under 1 s."""
+    a, b, c = rat(1000003, 7), rat(2000003, 11), rat(3000017, 13)
+    m = tensor_modules(tensor_modules(build_elementary(a, a + 1),
+                                      build_elementary(b, b + 1)),
+                       build_elementary(c, c + 1))
+    hw = highest_weight_of(m)
+    start = time.perf_counter()
+    assert m.dim == 27 and an.classify_finite_dim(hw)
+    assert an.drinfeld_polynomial(hw).P.degree == 3
+    assert time.perf_counter() - start < 1
+    mu = RatFunc(from_roots([0, HALF]), from_roots([2000, HALF - 1000]))
+    start = time.perf_counter()
+    with pytest.raises(an.NotDominant):
+        an.drinfeld_polynomial(_hw_from_mu(mu))
+    assert time.perf_counter() - start < 1
 
 
 def test_drinfeld_degree_counts_strings():

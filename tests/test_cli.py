@@ -321,7 +321,7 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
 @pytest.mark.parametrize("build, argv, corrupt, message", [
     (L2, ["classify", MOD], _not_eigenvector, "eigenvector"),
     (L2, ["drinfeld", MOD], _not_eigenvector, "eigenvector"),
-    (VERMA, ["drinfeld", MOD], None, "unbalanced roots"),
+    (VERMA, ["drinfeld", MOD], None, "deg P would be 1/3, not in Z_+"),
     (L2, ["verify", "rtt", MOD], _flip_sign, "RTT fails"),
     (L2, ["verify", "central", MOD], _flip_sign, "central relation fails"),
     (L2, ["verify", "central", MOD], _non_polynomial_c, "not a polynomial"),

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from yosp.exact_arith import (HALF, KAPPA, ONE, PoleError, RatFunc, UniPoly,
                               ZERO, rat, rat_str)
 
+from polys import from_roots
+
 
 def test_rat_basics():
     assert rat(1, 2) + rat(1, 3) == rat(5, 6)
@@ -36,7 +38,7 @@ def test_unipoly_construction_and_trim():
 
 
 def test_unipoly_from_roots():
-    p = UniPoly.from_roots([rat(1), rat(2)])
+    p = from_roots([rat(1), rat(2)])
     assert p(rat(1)) == 0 and p(rat(2)) == 0
     assert p.leading() == 1
     assert p.coeffs == (rat(2), rat(-3), rat(1))
@@ -49,13 +51,13 @@ def test_unipoly_shift_reflect():
 
 
 def test_unipoly_divmod_gcd():
-    p = UniPoly.from_roots([rat(1), rat(2), rat(3)])
-    q = UniPoly.from_roots([rat(2), rat(3)])
+    p = from_roots([rat(1), rat(2), rat(3)])
+    q = from_roots([rat(2), rat(3)])
     quo, rem = p.divmod(q)
     assert rem.is_zero()
-    assert quo == UniPoly.from_roots([rat(1)])
-    g = p.gcd(UniPoly.from_roots([rat(2), rat(5)]))
-    assert g == UniPoly.from_roots([rat(2)])
+    assert quo == from_roots([rat(1)])
+    g = p.gcd(from_roots([rat(2), rat(5)]))
+    assert g == from_roots([rat(2)])
 
 
 @given(polys, polys, polys)

@@ -17,6 +17,7 @@ from yosp.hopf_tensor import (HighestWeight, NoHighestVector, _kron_accumulate,
 from yosp.super_linalg import OperatorPoly, bar, iprime, theta
 
 from dense import sparse
+from polys import from_roots
 
 
 def test_elementary_hw_formula():
@@ -58,8 +59,8 @@ def test_tensor_dim_and_hw_product():
         elementary_hw(rat(-5, 2), rat(-3, 2)))
     assert hw.l1 == want.l1 and hw.l2 == want.l2 and hw.l3 == want.l3
     # the known worked value: lambda_1(u) = (u-1)(u-5/2)/(u(u-3/2))
-    assert hw.l1 == RatFunc(UniPoly.from_roots([rat(1), rat(5, 2)]),
-                            UniPoly.from_roots([rat(0), rat(3, 2)]))
+    assert hw.l1 == RatFunc(from_roots([rat(1), rat(5, 2)]),
+                            from_roots([rat(0), rat(3, 2)]))
 
 
 def test_tensor_central_series_multiplies():

@@ -20,6 +20,7 @@ from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
 from yosp.super_linalg import GradedSpace, bar
 
 from dense import dense, mat_vec
+from polys import from_roots
 
 
 def _label_index(m, label):
@@ -169,11 +170,11 @@ def test_denominator_and_central_series():
     alpha, beta = rat(-1), rat(0)
     m = build_elementary(alpha, beta)
     assert m.denom == small_verma_denominator(alpha, beta)
-    assert m.denom == UniPoly.from_roots([-alpha + HALF, -beta])
+    assert m.denom == from_roots([-alpha + HALF, -beta])
     assert m.c == central_ratfunc(alpha, beta)
     # c(u) = (u+alpha)(u+beta+1)/((u+alpha+1)(u+beta)) = (u-1)(u+1)/u^2
-    assert m.c == RatFunc(UniPoly.from_roots([rat(1), rat(-1)]),
-                          UniPoly.from_roots([ZERO, ZERO]))
+    assert m.c == RatFunc(from_roots([rat(1), rat(-1)]),
+                          from_roots([ZERO, ZERO]))
 
 
 def test_vector_representation_shape():

@@ -7,11 +7,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from yosp import analysis as an
+from yosp.cli import _poly_rational_roots
 from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, rat
 from yosp.hopf_tensor import HighestWeight
 from yosp._linalg import SingularMatrix, Span, inverse, nullspace, rank, rref
 
 from dense import sparse, sparse_rows
+from polys import from_roots
 
 U = sympy.Symbol("u")
 
@@ -111,6 +113,11 @@ def test_span_reduce_is_the_remainder(A, coeffs):
     assert (red == {}) == in_rowspace == span.contains(sparse(v))
 
 
+def to_sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], U)
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(rat)
 
 
@@ -121,35 +128,31 @@ def test_poly_rational_roots_match_sympy(roots, cofactor):
     """Rational roots with multiplicities, and the rootless cofactor."""
     if not any(cofactor):
         cofactor = [1]
-    p = UniPoly.from_roots(roots) * UniPoly([rat(c) for c in cofactor])
-    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], U)
+    p = from_roots(roots) * UniPoly([rat(c) for c in cofactor])
     want = {}
-    for f, mult in expr.factor_list()[1]:
+    for f, mult in to_sympy_poly(p).factor_list()[1]:
         if f.degree() == 1:
             a, b = f.all_coeffs()
             r = -b / a
             want[rat(int(r.p), int(r.q))] = mult
-    got, rest = an._poly_rational_roots(p)
+    got, rest = _poly_rational_roots(p)
     assert got == want
-    assert UniPoly.from_roots(an._expand(got)) * rest == p
+    assert from_roots(r for r, k in got.items() for _ in range(k)) * rest == p
 
 
-def _sympy_drinfeld(num_roots, den_roots):
-    """The monic P with P(u+1) den(u) = P(u) num(u), solved as a linear
-    system over Q after cancelling; None when there is none."""
-    num, den = sympy.fraction(sympy.cancel(
-        sympy.prod([U - sympy.Rational(r.numerator, r.denominator)
-                    for r in num_roots])
-        / sympy.prod([U - sympy.Rational(r.numerator, r.denominator)
-                      for r in den_roots])))
+def _sympy_drinfeld(N, D):
+    """The monic P with P(u+1) D(u) = P(u) N(u), for monic N and D of equal
+    degree, solved as a linear system over Q after cancelling; None when
+    there is none."""
+    num, den = sympy.fraction(sympy.cancel(to_sympy_poly(N).as_expr()
+                                           / to_sympy_poly(D).as_expr()))
     num, den = sympy.Poly(num, U), sympy.Poly(den, U)
     # P(u+1)/P(u) = 1 + deg(P)/u + ..., which fixes the degree of P.
     d = num.degree()
-    N = (num.nth(d - 1) - den.nth(d - 1)) / num.LC() if d > 0 else 0
-    if not (N >= 0 and N == int(N)):
+    S = (num.nth(d - 1) - den.nth(d - 1)) / num.LC() if d > 0 else 0
+    if not (S >= 0 and S == int(S)):
         return None
-    cs = sympy.symbols(f"p0:{int(N) + 1}")
+    cs = sympy.symbols(f"p0:{int(S) + 1}")
     P = sum(c * U ** k for k, c in enumerate(cs))
     eqs = sympy.Poly(sympy.expand(P.subs(U, U + 1) * den.as_expr()
                                   - P * num.as_expr()), U).all_coeffs()
@@ -160,6 +163,19 @@ def _sympy_drinfeld(num_roots, den_roots):
     return UniPoly([rat(int(x.p), int(x.q)) for x in v])
 
 
+def _check_drinfeld(N, D):
+    """drinfeld_polynomial on l2/l1 = N/D agrees with the sympy oracle."""
+    mu = RatFunc(N, D)
+    hw = HighestWeight(RatFunc.const(1), mu, mu * mu.shift(HALF))
+    want = _sympy_drinfeld(N, D)
+    if want is None:
+        with pytest.raises(an.NotDominant):
+            an.drinfeld_polynomial(hw)
+    else:
+        assert an.drinfeld_polynomial(hw).P == want
+    return want
+
+
 roots_near = st.lists(st.integers(-2, 2).map(rat) | st.sampled_from(
     [HALF, rat(-1, 2), rat(1, 3)]), min_size=1, max_size=3)
 
@@ -168,12 +184,33 @@ roots_near = st.lists(st.integers(-2, 2).map(rat) | st.sampled_from(
 @settings(max_examples=80, deadline=None)
 def test_drinfeld_polynomial_matches_sympy(num_roots, den_roots):
     den_roots = (den_roots * 3)[:len(num_roots)]
-    mu = RatFunc(UniPoly.from_roots(num_roots), UniPoly.from_roots(den_roots))
-    hw = HighestWeight(RatFunc.const(1), mu, mu * mu.shift(HALF))
-    want = _sympy_drinfeld(num_roots, den_roots)
-    if want is None:
-        with pytest.raises(an.NotDominant):
-            an.drinfeld_polynomial(hw)
-    else:
-        assert an.drinfeld_polynomial(hw).P == want
+    _check_drinfeld(from_roots(num_roots), from_roots(den_roots))
 
+
+@st.composite
+def quadratic_strings(draw):
+    """(N, D, P): N/D = P(u+1)/P(u) for P a product of strings
+    q(u) q(u-1) ... of random monic quadratics q, whose roots are mostly
+    irrational.  Sometimes one nonzero coefficient of N has its sign flipped
+    (P is then None), which is mostly not dominant."""
+    P = UniPoly([ONE])
+    for length in (draw(st.integers(1, 2)), draw(st.integers(0, 1))):
+        q = UniPoly([draw(small), draw(small), ONE])
+        for j in range(length):
+            P = P * q.shift(-j)
+    N, D = P.shift(1), P
+    flips = [k for k, c in enumerate(N.coeffs[:-1]) if c]
+    if flips and draw(st.booleans()):
+        k = draw(st.sampled_from(flips))
+        N = UniPoly(-c if i == k else c for i, c in enumerate(N.coeffs))
+        P = None
+    return N, D, P
+
+
+@given(quadratic_strings())
+@settings(max_examples=25, deadline=None)
+def test_drinfeld_polynomial_of_quadratic_strings_matches_sympy(NDP):
+    N, D, P = NDP
+    want = _check_drinfeld(N, D)
+    if P is not None:
+        assert want == P
