@@ -1,21 +1,17 @@
 """Exact linear algebra over the rationals.  Vectors and matrix rows are
-sparse {index: nonzero entry} dicts; row reduction (rank, kernels, inverses,
-spans) runs through one sparse echelon Span.  Dense matrices (lists of rows)
-remain only where perfbench pins them by name or type, until the benchmark
-refresh (ROADMAP E0): zeros, mat_sub, mat_scale and mat_mul, which the Gauss
-check computes with, and mat_add (all in WRAPPED; mat_mul in matmul36_ms);
-the dense I/O of inverse, and sparse_vec; OperatorPoly's dense constructor,
-coeffs, coeff(k) and eval (_flipped_copy, digest, _tensor_probe, muladd_ns).
-
-One integer-scaling pair, integer_rows and scalar_rows, clears denominators
-by their lcm so that tensor_modules, OperatorPoly's bracket_const and
-_combine, the relation verifiers and cyclic_span add plain int products."""
+sparse {index: nonzero entry} dicts, whose entries may be ints or Fractions:
+the products and sums below never ask which.  Row reduction (rank, kernels,
+inverses, spans) runs through one sparse echelon Span, which divides and so
+returns Fractions.  Dense matrices (lists of rows) remain only where
+perfbench pins them by name or type, until the benchmark refresh (ROADMAP
+E0): zeros, mat_sub, mat_scale and mat_mul, which the Gauss check computes
+with, and mat_add (all in WRAPPED; mat_mul in matmul36_ms); the dense I/O of
+inverse, and sparse_vec; OperatorPoly's dense constructor, coeffs, coeff(k)
+and eval (_flipped_copy, digest, _tensor_probe, muladd_ns)."""
 
 from __future__ import annotations
 
-from math import lcm
-
-from .exact_arith import ZERO, ONE, Scalar, rat
+from .exact_arith import ZERO, ONE, rat
 
 
 class SingularMatrix(ArithmeticError):
@@ -60,19 +56,6 @@ def sparse_vec(v):
     """A dense vector as a sparse {index: entry} dict of its nonzeros;
     testing `x is ZERO` first skips the shared zero without a Scalar call."""
     return {c: x for c, x in enumerate(v) if x is not ZERO and x}
-
-
-def integer_rows(mats):
-    """(L, [L * R for R in mats]): L is the lcm of the denominators of every
-    entry of the sparse-row matrices, and the scaled rows hold ints."""
-    L = lcm(*{x.denominator for R in mats for row in R for x in row.values()})
-    return L, [[{c: x.numerator * (L // x.denominator) for c, x in row.items()}
-                for row in R] for R in mats]
-
-
-def scalar_rows(rows, L):
-    """Integer sparse rows divided by L, as Scalar rows without zeros."""
-    return [{c: Scalar(v, L) for c, v in row.items() if v} for row in rows]
 
 
 def add_multiple(r, f, row):

@@ -13,19 +13,18 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
-from ._linalg import (SingularMatrix, Span, add_multiple, integer_rows,
-                      inverse, mat_mul, mat_scale, mat_sub, nullspace, rank,
-                      sparse_mat_vec)
+from ._linalg import (SingularMatrix, Span, add_multiple, inverse, mat_mul,
+                      mat_scale, mat_sub, nullspace, rank, sparse_mat_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import ModuleRep, TruncatedInput, to_json_dict
-from .hopf_tensor import (HighestWeight, _integer_ops, _sparse_input,
+from .hopf_tensor import (HighestWeight, _sparse_input,
                           tii_eigenvalue)  # re-export
 
 
@@ -113,21 +112,21 @@ def _checked_cols(m: ModuleRep, margin: int):
     return cols
 
 
-def _int_rows(coeffs, E):
-    """sum_k coeffs[k] u^k for integer sparse-row coefficients, as sparse
-    rows: per row, (column, integer coefficients ascending, padded to degree
-    E) for each nonzero entry."""
+def _int_rows(coeffs, E, scale=1):
+    """scale sum_k coeffs[k] u^k for integer sparse-row coefficients, as
+    sparse rows: per row, (column, integer coefficients ascending, padded to
+    degree E) for each nonzero entry."""
     out = []
     for r in range(len(coeffs[0])):
         ints = {}
         for k, R in enumerate(coeffs):
             for c, x in R[r].items():
-                ints.setdefault(c, [0] * (E + 1))[k] = x
+                ints.setdefault(c, [0] * (E + 1))[k] = x * scale
         out.append(list(ints.items()))
     return out
 
 
-_RC = _int_rows(integer_rows(build_P_Q_R()[2])[1], 2)  # cleared R, degree 2
+_RC = _int_rows(OperatorPoly.from_rows(build_P_Q_R()[2], 0).rows, 2)  # cleared R
 
 
 def _eval_rows(rows, E, x):
@@ -147,11 +146,11 @@ def _eval_rows(rows, E, x):
 
 
 def _int_module(m: ModuleRep):
-    """(E, L, ops): E bounds the degree of every T_ij, L is the lcm of all
-    their denominators, and ops[i][j] is _int_rows of T_ij."""
+    """(E, L, ops): E bounds the degree of every T_ij, L is the lcm of their
+    denominators, and ops[i][j] is _int_rows of L T_ij."""
     E = max(len(op.rows) for row in m.T for op in row) - 1
-    L, ints = _integer_ops(m)
-    return E, L, [[_int_rows(coeffs, E) for coeffs in row] for row in ints]
+    L = lcm(*(op.den for row in m.T for op in row))
+    return E, L, [[_int_rows(op.rows, E, L // op.den) for op in row] for row in m.T]
 
 
 def _eval_T(ops, E, x):
@@ -383,15 +382,14 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 # grading once, then runs the unchecked _singular_vectors, _cyclic_span, ...
 # ---------------------------------------------------------------------------
 
-def _coeff_matrices(m: ModuleRep, upper_only: bool = False):
-    """The sparse-row u-coefficients of every T_ij (i < j when upper_only)."""
-    return [R for i in range(1, 4) for j in range(1, 4)
-            if i < j or not upper_only for R in m.op(i, j).rows]
+_RAISING, _LOWERING = ((1, 2), (1, 3), (2, 3)), ((2, 1), (3, 1), (3, 2))
 
 
-def _lowering_matrices(m: ModuleRep):
-    """The sparse-row u-coefficients of T_21, T_31 and T_32."""
-    return [R for i, j in ((2, 1), (3, 1), (3, 2)) for R in m.op(i, j).rows]
+def _coeff_matrices(m: ModuleRep, pairs=None):
+    """The u-coefficients of T_ij for (i, j) in pairs (default all nine) as
+    the stored integer rows: den times each, which changes no kernel or span."""
+    pairs = pairs or [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    return [R for i, j in pairs for R in m.op(i, j).rows]
 
 
 def _restrict(rows, idxs):
@@ -409,7 +407,7 @@ def singular_vectors(m: ModuleRep) -> Subspace:
 
 
 def _singular_vectors(m):
-    raising = [row for R in _coeff_matrices(m, upper_only=True) for row in R]
+    raising = [row for R in _coeff_matrices(m, _RAISING) for row in R]
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
     by_weight = m.space.weight_spaces()
@@ -423,8 +421,7 @@ def _singular_vectors(m):
 def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
     """True when m is exact and v is singular and a t_ii(u) eigenvector
     for i = 1, 2, 3."""
-    if m.truncated or any(sparse_mat_vec(R, v)
-                          for R in _coeff_matrices(m, upper_only=True)):
+    if m.truncated or any(sparse_mat_vec(R, v) for R in _coeff_matrices(m, _RAISING)):
         return False
     try:
         for i in range(1, 4):
@@ -452,9 +449,9 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     Yangians and Classical Lie Algebras, AMS 2007), X^+ and X^0 map v to
     multiples of v, and so X v = X^- v, the span of the lowering
     coefficients applied repeatedly to v.  Every other (m, v) spins all nine
-    operators.  The spin runs in integers (matrices scaled by the lcm of
-    their denominators, new vectors divided by their gcd); no scaling
-    changes a span, and its reduced echelon basis is unique.
+    operators.  The spin runs in integers (each operator's stored integer
+    rows, new vectors divided by their gcd); no scaling changes a span, and
+    its reduced echelon basis is unique.
     """
     _require_grading(m)
     return _cyclic_span(m, v)
@@ -465,10 +462,8 @@ def _cyclic_span(m, v):
     span = Span()
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
-    mats = [integer_rows([R])[1][0] for R in (
-        _lowering_matrices(m) if _is_highest_vector(m, v)
-        else _coeff_matrices(m))]
-    frontier = [_primitive(integer_rows([[v]])[1][0][0])]
+    mats = _coeff_matrices(m, _LOWERING if _is_highest_vector(m, v) else None)
+    frontier = [_primitive(OperatorPoly.from_rows([[v]], 0).rows[0][0])]
     while frontier:
         nxt = []
         for x in frontier:
@@ -505,7 +500,7 @@ def _quotient_module(m, k):
         for j in range(3):
             op = m.T[i][j]
             rows = []
-            for R in op.rows:
+            for R in map(op.sparse_coeff, range(len(op.rows))):
                 cols = [{} for _ in range(m.dim)]
                 for a, row in enumerate(R):
                     for c, x in row.items():

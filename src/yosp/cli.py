@@ -143,8 +143,9 @@ def cmd_character(args):
 
 def cmd_drinfeld(args):
     P = an.drinfeld_polynomial(highest_weight_of(load_module(args.module)))
+    # Factoring P for display can take a divisor search: only for the text.
     _emit(args, {"P": [rat_str(c) for c in P.P.coeffs]},
-          f"P(u) = {_fmt_poly(P.P)}")
+          None if args.json else f"P(u) = {_fmt_poly(P.P)}")
     return 0
 
 

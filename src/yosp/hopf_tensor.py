@@ -9,10 +9,11 @@ only sign involved and it is validated by the RTT verifier on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict
 
 from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
-from ._linalg import integer_rows, scalar_rows, sparse_mat_vec
+from ._linalg import sparse_mat_vec
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -55,47 +56,39 @@ def central_from_hw(hw: HighestWeight) -> RatFunc:
 def tensor_modules(a: ModuleRep, b: ModuleRep) -> ModuleRep:
     """Module on the tensor product space via the coproduct; each factor
     keeps its own truncation depth.  The products accumulate in integers:
-    each factor's coefficients are scaled once by the lcm of their
-    denominators, and each output entry is divided by both scales."""
+    T_ij is sum_k T_ik (x) T_kj over the lcm L of the products of their
+    denominators, each term scaled by L over its own."""
     space = a.space.tensor(b.space)
     denom = a.denom * b.denom
     D = denom.degree
     n = space.dim
     T = [[None] * 3 for _ in range(3)]
     src_par_a = a.space.parity
-    (La, ints_a), (Lb, ints_b) = (_integer_ops(m) for m in (a, b))
     for i in range(1, 4):
         for j in range(1, 4):
+            L = lcm(*(a.op(i, k).den * b.op(k, j).den for k in range(1, 4)))
             rows = [[{} for _ in range(n)] for _ in range(D + 1)]
             for k in range(1, 4):
-                op_b = (bar(k) + bar(j)) % 2
-                for p, Ap in enumerate(ints_a[i - 1][k - 1]):
-                    for q, Bq in enumerate(ints_b[k - 1][j - 1]):
-                        _kron_accumulate(rows[p + q], Ap, Bq, op_b, src_par_a)
-            T[i - 1][j - 1] = OperatorPoly.from_rows(
-                [scalar_rows(R, La * Lb) for R in rows],
-                (bar(i) + bar(j)) % 2).trim()
+                A, B, op_b = a.op(i, k), b.op(k, j), (bar(k) + bar(j)) % 2
+                for p, Ap in enumerate(A.rows):
+                    for q, Bq in enumerate(B.rows):
+                        _kron_accumulate(rows[p + q], Ap, Bq, op_b, src_par_a,
+                                         L // (A.den * B.den))
+            rows = [[{c: v for c, v in r.items() if v} for r in R] for R in rows]
+            T[i - 1][j - 1] = OperatorPoly.from_int_rows(rows, L, bar(i) + bar(j)).trim()
     hi = a.highest_index * b.dim + b.highest_index
     return ModuleRep(space, denom, T, a.c * b.c, hi, list(a.factors) + list(b.factors))
 
 
-def _integer_ops(m: ModuleRep):
-    """(L, ints): ints[i][j] holds L times the coefficients of T_{i+1,j+1}
-    as integer sparse rows, L the lcm of all their denominators."""
-    L, ints = integer_rows([R for row in m.T for op in row for R in op.rows])
-    it = iter(ints)
-    return L, [[[next(it) for _ in op.rows] for op in row] for row in m.T]
-
-
-def _kron_accumulate(out, A, B, op_parity_b, source_parity_a):
-    """out += A (x) B on sparse rows, with the Koszul sign of B passing A's
-    source vector: entry ((i,k),(j,l)) gains A[i][j] B[k][l]
+def _kron_accumulate(out, A, B, op_parity_b, source_parity_a, scale=1):
+    """out += scale A (x) B on sparse rows, with the Koszul sign of B passing
+    A's source vector: entry ((i,k),(j,l)) gains scale A[i][j] B[k][l]
     (-1)^{op_parity_b parity(e_j)}.  Sums that cancel stay stored as 0."""
     nb = len(B)
     rows_b = [(k, rowb) for k, rowb in enumerate(B) if rowb]
     for i, rowa in enumerate(A):
         for j, x in rowa.items():
-            coef = -x if (op_parity_b and source_parity_a[j]) else x
+            coef = -x * scale if (op_parity_b and source_parity_a[j]) else x * scale
             base = j * nb
             for k, rowb in rows_b:
                 r = out[i * nb + k]
@@ -119,12 +112,12 @@ def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
         raise ValueError("eigenvalue of the zero vector")
     pivot = min(v)
     cs = []
-    for R in m.op(i, i).rows:
+    for R in m.op(i, i).rows:  # den times each coefficient: the test is scale-free
         w = sparse_mat_vec(R, v)
         c = w.get(pivot, ZERO) / v[pivot]
         if w != ({a: c * x for a, x in v.items()} if c else {}):
             raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
-        cs.append(c)
+        cs.append(c / m.op(i, i).den)
     return RatFunc(UniPoly(cs), m.denom)
 
 
@@ -166,7 +159,7 @@ def dual_module(m: ModuleRep) -> ModuleRep:
                     for b, x in row.items():
                         Rt[b][a] = -x if flip != bool(op.op_parity and par[b]) else x
                 rows.append(Rt)
-            T[i - 1][j - 1] = OperatorPoly.from_rows(rows, op.op_parity).trim()
+            T[i - 1][j - 1] = OperatorPoly.from_int_rows(rows, op.den, op.op_parity).trim()
     factors = [Factor(-f.beta, -f.alpha, None) for f in m.factors]
     out = ModuleRep(m.space, denom, T, RatFunc.const(1), m.highest_index, factors)
     out.c = central_from_hw(highest_weight_of(out))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional
 
 from .exact_arith import (DegreeError, HALF, KAPPA, ONE, RatFunc, Scalar,
@@ -82,8 +82,7 @@ class ModuleRep:
     def t_first(self, i: int, j: int):
         """Sparse rows of t_ij^{(1)}, the u^{-1} coefficient of T_ij(u)/d(u)."""
         D = self.denom.degree
-        rows = self.op(i, j).rows
-        M = [dict(r) for r in (rows[D - 1] if D <= len(rows) else [{}] * self.dim)]
+        M = self.op(i, j).sparse_coeff(D - 1)
         dcoef = self.denom.coeffs[D - 1] if i == j and D else ZERO
         if dcoef:
             for a, row in enumerate(M):
@@ -93,17 +92,10 @@ class ModuleRep:
     def interior_indices(self, margin: int) -> List[int]:
         """Basis positions whose truncated-factor labels stay margin levels
         below every truncation cut (everything, when the module is exact)."""
-        if not self.truncated:
-            return list(range(self.dim))
         cuts = [f.depth for f in self.factors]
-        out = []
-        for idx in range(self.dim):
-            lab = self.space.labels[idx]
-            ok = all(cut is None or lab[m][0] + lab[m][1] <= cut - margin
-                     for m, cut in enumerate(cuts))
-            if ok:
-                out.append(idx)
-        return out
+        return [idx for idx, lab in enumerate(self.space.labels)
+                if all(cut is None or lab[m][0] + lab[m][1] <= cut - margin
+                       for m, cut in enumerate(cuts))]
 
     def grading_violations(self):
         """Entries (i, j, a, b) of T_ij breaking the weight grading
@@ -208,8 +200,7 @@ def reconstruct_full_T(partial: ModuleRep) -> ModuleRep:
          [T21.trim(), T22.trim(), T23.trim()],
          [T31.trim(), T32.trim(), T33.trim()]]
     out = ModuleRep(m.space, m.denom, T, m.c, m.highest_index, m.factors)
-    lhs = -T11.bracket_const(t12, 1)                      # [t_12^(1), T_11(u)]
-    if not lhs.trim() == T12.trim():
+    if -T11.bracket_const(t12, 1) != T12:                 # [t_12^(1), T_11(u)]
         raise ReconstructionInconsistent("[t_12^(1), T_11(u)] != T_12(u)")
     if out.grading_violations():
         raise ReconstructionInconsistent("weight or parity grading broken")
@@ -347,8 +338,15 @@ def to_json_dict(m: ModuleRep) -> dict:
 
 def _triples(op: OperatorPoly, D: int):
     """The u^0..u^D coefficients of op, each as its row-major triples."""
-    return [[[a, b, rat_str(row[b])] for a, row in enumerate(R) for b in sorted(row)]
+    return [[[a, b, _ratio_str(row[b], op.den)]
+             for a, row in enumerate(R) for b in sorted(row)]
             for R in op.rows + [[]] * (D + 1 - len(op.rows))]
+
+
+def _ratio_str(v: int, d: int) -> str:
+    """v/d as rat_str writes it, "p/q" in lowest terms or "p"."""
+    g = gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
 def from_json_dict(d: dict) -> ModuleRep:
@@ -367,8 +365,16 @@ def from_json_dict(d: dict) -> ModuleRep:
         raise ModuleFormatError(f"malformed module file: {exc}") from exc
 
 
+def _scalar(x) -> Scalar:
+    """A rational of a module file, which must be a string such as "p/q"."""
+    if type(x) is not str:
+        raise ModuleFormatError(f"{x!r} is not a rational written as a string")
+    return rat(x)
+
+
 def _read_module(d: dict) -> ModuleRep:
-    factors = [Factor(rat(a), rat(b), depth) for a, b, depth in d["factors"]]
+    factors = [Factor(_scalar(a), _scalar(b), depth)
+               for a, b, depth in d["factors"]]
     for f in factors:
         if f.depth is not None and not (type(f.depth) is int and f.depth >= 0):
             raise ModuleFormatError(f"depth {f.depth!r} is not a natural number")
@@ -378,15 +384,13 @@ def _read_module(d: dict) -> ModuleRep:
     for p in parity:
         if type(p) is not int or p not in (0, 1):
             raise ModuleFormatError(f"parity {p!r} is not 0 or 1")
-    space = GradedSpace(
-        n,
-        parity,
-        tuple(rat(b["weight"]) for b in basis),
-        tuple(tuple((int(r), int(s)) for r, s in b["labels"]) for b in basis),
-    )
+    space = GradedSpace(n, parity, tuple(_scalar(b["weight"]) for b in basis),
+                        tuple(tuple((r, s) for r, s in b["labels"]) for b in basis))
     if any(len(lab) != len(factors) for lab in space.labels):
         raise ModuleFormatError("a basis label does not hold one pair per factor")
-    denom = UniPoly([rat(c) for c in d["denom"]])
+    if any(type(x) is not int for lab in space.labels for pair in lab for x in pair):
+        raise ModuleFormatError("a basis label is not a pair of integers")
+    denom = UniPoly([_scalar(c) for c in d["denom"]])
     parsed = {}
     T = [[None] * 3 for _ in range(3)]
     for i in range(1, 4):
@@ -402,17 +406,17 @@ def _read_module(d: dict) -> ModuleRep:
                         raise ModuleFormatError(
                             f"T_{i}{j} entry ({a}, {b}) outside dimension {n}")
                     if x not in parsed:
-                        parsed[x] = rat(x)
+                        parsed[x] = _scalar(x)
                         if not parsed[x]:
                             raise ModuleFormatError(
                                 f"T_{i}{j} entry ({a}, {b}) is listed as 0")
                     R[a][b] = parsed[x]
             T[i - 1][j - 1] = OperatorPoly.from_rows(
                 rows, (bar(i) + bar(j)) % 2).trim()
-    c = RatFunc(UniPoly([rat(x) for x in d["c"]["num"]]),
-                UniPoly([rat(x) for x in d["c"]["den"]]))
+    c = RatFunc(UniPoly([_scalar(x) for x in d["c"]["num"]]),
+                UniPoly([_scalar(x) for x in d["c"]["den"]]))
     highest = d["highest_index"]
-    if highest not in range(n):
+    if type(highest) is not int or highest not in range(n):
         raise ModuleFormatError(f"highest_index {highest!r} outside dimension {n}")
     return ModuleRep(space, denom, T, c, highest, factors)
 

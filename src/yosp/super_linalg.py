@@ -2,21 +2,22 @@
 
 Basis indices run over 1, 2, 3 with parities bar(1)=bar(3)=1, bar(2)=0
 (the middle vector is even), signs theta = (1, 1, -1), and the index
-involution i -> i' = 4 - i.  Operators are stored as sparse rational rows
-(OperatorPoly); the Koszul signs live in the tensor product's Kronecker step
-(hopf_tensor) and in the two-leg encodings of P, Q and R(u), so there is
-exactly one place where sign conventions can go wrong and the RTT verifier
-will catch it there.
+involution i -> i' = 4 - i.  An operator polynomial (OperatorPoly) is stored
+as integer sparse rows over one least denominator; Fractions only enter and
+leave at its boundary.  The Koszul signs live in the tensor product's
+Kronecker step (hopf_tensor) and in the two-leg encodings of P, Q and R(u),
+so there is exactly one place where sign conventions can go wrong and the
+RTT verifier will catch it there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Tuple
 
 from .exact_arith import KAPPA, ONE, Scalar, UniPoly, rat
-from ._linalg import add_multiple, integer_rows, scalar_rows, sparse_vec, zeros
+from ._linalg import add_multiple, sparse_vec, zeros
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
 THETA = (None, 1, 1, -1)
@@ -113,29 +114,53 @@ def build_P_Q_R():
 class OperatorPoly:
     """Operator-valued polynomial in u sharing one operator parity.
 
-    rows[k] holds the u^k coefficient (ascending powers) as sparse rows: one
-    {column: entry} dict per row, with no zero ever stored.  The dense forms
-    are views at the boundary: the constructor takes dense matrices, and
-    `coeffs`, `coeff(k)` and `eval(x)` return them.
+    The value is rows / den: rows[k] holds den times the u^k coefficient
+    (ascending powers) as integer sparse rows, {column: int} dicts that
+    never store a zero, over the least such den >= 1, so that equal
+    operators store equal rows.  Fractions cross only the boundary: in
+    through from_rows, out through sparse_coeff(k) and its dense views.
     """
 
-    __slots__ = ("rows", "op_parity")
+    __slots__ = ("rows", "den", "op_parity")
 
     def __init__(self, coeffs, op_parity: int):
-        self.rows = [[sparse_vec(row) for row in M] for M in coeffs]
-        self.op_parity = op_parity % 2
+        op = self.from_rows([[sparse_vec(r) for r in M] for M in coeffs], op_parity)
+        self.rows, self.den, self.op_parity = op.rows, op.den, op.op_parity
 
     @classmethod
     def from_rows(cls, rows, op_parity: int) -> "OperatorPoly":
-        """The operator with these sparse rows, adopted without a copy."""
+        """The operator with these sparse rows of rationals (no zero stored),
+        scaled by the lcm of their denominators, which is the least den."""
+        L = lcm(*{x.denominator for R in rows for row in R for x in row.values()})
+        return cls.from_int_rows(
+            [[{c: x.numerator * (L // x.denominator) for c, x in row.items()}
+              for row in R] for R in rows], L, op_parity)
+
+    @classmethod
+    def from_int_rows(cls, rows, den: int, op_parity: int) -> "OperatorPoly":
+        """rows / den for integer sparse rows without zeros and den >= 1,
+        divided through by their gcd (the rows are adopted when it is 1)."""
+        g = den
+        for row in (r for R in rows for r in R):
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1:
+            rows = [[{c: x // g for c, x in row.items()} for row in R] for R in rows]
         op = cls.__new__(cls)
-        op.rows = rows
-        op.op_parity = op_parity % 2
+        op.rows, op.den, op.op_parity = rows, den // g, op_parity % 2
         return op
 
     @property
     def dim(self) -> int:
         return len(self.rows[0])
+
+    def sparse_coeff(self, k: int):
+        """The u^k coefficient as sparse rows of Fractions: the one view out."""
+        if k >= len(self.rows):
+            return [{} for _ in range(self.dim)]
+        d = self.den
+        return [{c: Scalar(x, d) for c, x in row.items()} for row in self.rows[k]]
 
     @property
     def coeffs(self):
@@ -145,38 +170,35 @@ class OperatorPoly:
     def coeff(self, k: int):
         """The u^k coefficient as a dense matrix."""
         out = zeros(self.dim)
-        for o, row in zip(out, self.rows[k] if k < len(self.rows) else ()):
+        for o, row in zip(out, self.sparse_coeff(k)):
             for b, x in row.items():
                 o[b] = x
         return out
 
     def eval(self, u0):
         """The dense matrix sum_k coeff(k) u0^k."""
-        u0 = rat(u0)
-        return self._combine(1, [(R, [(0, u0 ** k)])
-                                 for k, R in enumerate(self.rows)]).coeff(0)
+        terms = [(self, [(k, 0, rat(u0) ** k) for k in range(len(self.rows))])]
+        return self._combine(1, terms).coeff(0)
 
     def _combine(self, n: int, terms):
-        """The n coefficients out[k] = sum of c * R over the terms
-        (R, [(k, c), ...]) of sparse rows R, summed in integers over L Lc,
-        the lcms of the denominators of the rows and of the c's."""
-        L, mats = integer_rows([R for R, _ in terms])
-        Lc = lcm(*{c.denominator for _, targets in terms for _, c in targets})
+        """The n coefficients out[k] = sum of c * op.rows[m] / op.den over the
+        terms (op, [(m, k, c), ...]), summed in integers over Ld Lc, the lcms
+        of the ops' dens and of the denominators of the c's."""
+        Ld = lcm(*(op.den for op, _ in terms))
+        Lc = lcm(*{c.denominator for _, targets in terms for *_, c in targets})
         out = [[{} for _ in range(self.dim)] for _ in range(n)]
-        for R, (_, targets) in zip(mats, terms):
-            for k, c in targets:
+        for op, targets in terms:
+            for m, k, c in targets:
                 if c:
-                    c = c.numerator * (Lc // c.denominator)
-                    for o, row in zip(out[k], R):
+                    c = c.numerator * (Lc // c.denominator) * (Ld // op.den)
+                    for o, row in zip(out[k], op.rows[m]):
                         if row:
                             add_multiple(o, c, row)
-        return OperatorPoly.from_rows([scalar_rows(R, L * Lc) for R in out],
-                                      self.op_parity)
+        return OperatorPoly.from_int_rows(out, Ld * Lc, self.op_parity)
 
     def __add__(self, other):
-        return self._combine(max(len(self.rows), len(other.rows)),
-                             [(R, [(k, 1)]) for k, R in enumerate(self.rows)]
-                             + [(R, [(k, 1)]) for k, R in enumerate(other.rows)])
+        return self._combine(max(len(self.rows), len(other.rows)), [
+            (op, [(m, m, 1) for m in range(len(op.rows))]) for op in (self, other)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -187,19 +209,19 @@ class OperatorPoly:
     def scale(self, c):
         c = rat(c)
         return self._combine(len(self.rows),
-                             [(R, [(k, c)]) for k, R in enumerate(self.rows)])
+                             [(self, [(m, m, c) for m in range(len(self.rows))])])
 
     def mul_poly(self, p: UniPoly):
-        return self._combine(len(self.rows) + p.degree,
-                             [(R, [(k + l, c) for l, c in enumerate(p.coeffs)])
-                              for k, R in enumerate(self.rows)])
+        return self._combine(len(self.rows) + p.degree, [(self, [
+            (m, m + l, c) for m in range(len(self.rows))
+            for l, c in enumerate(p.coeffs)])])
 
     def _substitute(self, s: int, a):
         """u -> s u + a: u^m becomes sum_k C(m,k) s^k a^(m-k) u^k."""
         a = rat(a)
-        return self._combine(len(self.rows), [
-            (R, [(k, comb(m, k) * s ** k * a ** (m - k)) for k in range(m + 1)])
-            for m, R in enumerate(self.rows)])
+        return self._combine(len(self.rows), [(self, [
+            (m, k, comb(m, k) * s ** k * a ** (m - k))
+            for m in range(len(self.rows)) for k in range(m + 1)])])
 
     def shift(self, a):
         """Substitute u -> u + a."""
@@ -211,26 +233,28 @@ class OperatorPoly:
 
     def bracket_const(self, M, m_parity: int):
         """[self(u), M] = C M - (-1)^{|C||M|} M C for each coefficient C
-        (super-bracket) and M given as sparse rows, formed row by row in
-        integers over Lc Lm, the lcms of the denominators of C and of M."""
+        (super-bracket) and M given as sparse rows of rationals, formed row
+        by row in integers over den times the lcm of M's denominators."""
         sign = 1 if (self.op_parity and m_parity) else -1
-        Lc, Cs = integer_rows(self.rows)
-        Lm, (M,) = integer_rows([M])
+        Mop = OperatorPoly.from_rows([M], m_parity)
+        (M,) = Mop.rows
         out = []
-        for C in Cs:
+        for C in self.rows:
             R = [{} for _ in C]
             for left, right, s in ((C, M, 1), (M, C, sign)):
                 for o, row in zip(R, left):
                     for j, x in row.items():
                         add_multiple(o, x * s, right[j])
-            out.append(scalar_rows(R, Lc * Lm))
-        return OperatorPoly.from_rows(out, (self.op_parity + m_parity) % 2)
+            out.append(R)
+        return OperatorPoly.from_int_rows(out, self.den * Mop.den,
+                                          self.op_parity + m_parity)
 
     def trim(self):
         rows = list(self.rows)
         while len(rows) > 1 and not any(rows[-1]):
             rows.pop()
-        return OperatorPoly.from_rows(rows, self.op_parity)
+        return OperatorPoly.from_int_rows(rows, self.den, self.op_parity)
 
     def __eq__(self, other):
-        return self.trim().rows == other.trim().rows
+        a, b = self.trim(), other.trim()
+        return a.den == b.den and a.rows == b.rows

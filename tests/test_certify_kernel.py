@@ -199,12 +199,13 @@ def _witness(verify, m):
 def _flip_entry(m, rng):
     """m with the sign of one stored entry, picked by rng, flipped: the
     zero pattern and so the grading stay as they were."""
+    views = [[[op.sparse_coeff(k) for k in range(len(op.rows))] for op in row]
+             for row in m.T]
     stored = [(i, j, k, a, b) for i in range(3) for j in range(3)
-              for k, R in enumerate(m.T[i][j].rows)
+              for k, R in enumerate(views[i][j])
               for a, row in enumerate(R) for b in row]
     i, j, k, a, b = rng.choice(stored)
-    op = m.T[i][j]
-    rows = [[dict(row) for row in R] for R in op.rows]
+    op, rows = m.T[i][j], views[i][j]
     rows[k][a][b] = -rows[k][a][b]
     T = [list(row) for row in m.T]
     T[i][j] = OperatorPoly.from_rows(rows, op.op_parity)
@@ -227,7 +228,8 @@ _tuples = st.one_of(
 
 
 # No shrink phase: shrinking a failure through module builds takes minutes.
-@settings(max_examples=6, deadline=None,
+# Fixed draws: the cost of an example varies with its dimensions.
+@settings(max_examples=6, deadline=None, derandomize=True,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(pairs=_tuples, seed=st.integers(0, 10 ** 6), pick=st.integers(0, 10 ** 6))
 def test_symmetric_grid_matches_the_full_grid_oracle(pairs, seed, pick):

@@ -6,6 +6,7 @@ import shlex
 
 import pytest
 
+from yosp import cli
 from yosp.cli import main
 from yosp.exact_arith import RatFunc, UniPoly, rat, rat_str
 
@@ -52,6 +53,21 @@ def test_drinfeld_and_classify(tmp_path, capsys):
     assert "P(u) = (u-2)(u-1)" in capsys.readouterr().out
     assert main(["classify", mod]) == 0
     assert "finite-dimensional" in capsys.readouterr().out
+
+
+def test_drinfeld_json_does_not_factor_p(tmp_path, monkeypatch, capsys):
+    """--json prints P's coefficients without the display's root search."""
+    mod = str(tmp_path / "m.json")
+    main(["elementary", "--alpha", "-2", "--beta", "0", "--out", mod])
+    capsys.readouterr()
+    assert main(["drinfeld", mod, "--json"]) == 0
+    want = json.loads(capsys.readouterr().out)
+
+    def refuse(p):
+        raise AssertionError("P was factored for display")
+    monkeypatch.setattr(cli, "_fmt_poly", refuse)
+    assert main(["drinfeld", mod, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == want == {"P": ["2", "-3", "1"]}
 
 
 def test_character_and_osp_json_output(tmp_path, capsys):
@@ -244,6 +260,25 @@ def _extra_coefficient(d):
     return d
 
 
+def _entry(value):
+    def corrupt(d):
+        d["T"]["11"][-1][0][2] = value
+        return d
+    return corrupt
+
+
+def _float_weight(d):
+    d["basis"][0]["weight"] = float(d["basis"][0]["weight"])
+    return d
+
+
+def _label(value):
+    def corrupt(d):
+        d["basis"][0]["labels"][0][0] = value
+        return d
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda d: {}, "rebuild"),
     (_drop("format"), "rebuild"),
@@ -259,10 +294,16 @@ def _extra_coefficient(d):
     (_bad_parity, "parity 2 is not 0 or 1"),
     (_bad_depth, "depth -1 is not a natural number"),
     (_extra_factor, "one pair per factor"),
+    (_entry(0.1), "0.1 is not a rational written as a string"),
+    (_entry(True), "True is not a rational written as a string"),
+    (_float_weight, "1.0 is not a rational written as a string"),
+    (_label(0.5), "a basis label is not a pair of integers"),
+    (_label(False), "a basis label is not a pair of integers"),
 ], ids=["empty-object", "no-format", "format-1", "format-2", "unknown-format",
         "missing-key", "deleted-basis-entry", "index-out-of-range",
         "not-rational", "extra-coefficient", "zero-entry", "bad-parity",
-        "bad-depth", "extra-factor"])
+        "bad-depth", "extra-factor", "float-entry", "bool-entry",
+        "float-weight", "float-label", "bool-label"])
 def test_malformed_module_file_is_a_usage_error(tmp_path, capsys, corrupt,
                                                 message):
     mod = tmp_path / "m.json"

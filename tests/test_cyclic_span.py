@@ -18,7 +18,8 @@ def fraction_spin(m, v):
     every coefficient of all nine T_ij, spun in Fractions."""
     span = Span()
     span.add(v)
-    mats = [R for row in m.T for op in row for R in op.rows]
+    mats = [op.sparse_coeff(k) for row in m.T for op in row
+            for k in range(len(op.rows))]
     frontier = [v]
     while frontier:
         nxt = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from yosp import analysis as an
-from yosp.exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
+from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
 from yosp._linalg import zeros
 from yosp.rep_core import (Factor, TruncatedInput, apply_twist,
                            build_elementary, build_small_verma, load_module,
@@ -16,7 +16,7 @@ from yosp.hopf_tensor import (HighestWeight, NoHighestVector, _kron_accumulate,
                               highest_weight_of, tensor_modules, tii_eigenvalue)
 from yosp.super_linalg import OperatorPoly, bar, iprime, theta
 
-from dense import sparse
+from dense import is_canonical, sparse
 from polys import from_roots
 
 
@@ -133,7 +133,8 @@ def test_no_highest_vector_when_the_top_is_not_an_eigenvector():
     """A T_33 entry from the top vector to another row: NoHighestVector."""
     m = build_elementary(rat(-2), rat(0))
     h = m.highest_index
-    rows = [[dict(r) for r in R] for R in m.op(3, 3).rows]
+    op = m.op(3, 3)
+    rows = [op.sparse_coeff(k) for k in range(len(op.rows))]
     rows[0][h + 1][h] = ONE
     T = [list(r) for r in m.T]
     T[2][2] = OperatorPoly.from_rows(rows, 0)
@@ -185,6 +186,57 @@ def test_kron_accumulate_koszul_sign():
     assert K[0][3] == -1
     assert K[2][1] == 1
     assert K[3][0] == 1
+
+
+@st.composite
+def _graded_ops(draw, count):
+    """Source parities of a space of dim <= 4, and `count` homogeneous
+    integer sparse matrices on it: (parity, rows), entry (r, c) nonzero only
+    where parity(e_r) + parity(e_c) = parity (mod 2)."""
+    par = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    n = len(par)
+    ops = []
+    for _ in range(count):
+        p = draw(st.integers(0, 1))
+        cells = [(r, c) for r in range(n) for c in range(n)
+                 if (par[r] + par[c]) % 2 == p]
+        rows = [{} for _ in range(n)]
+        for (r, c), x in zip(cells, draw(st.lists(st.integers(-3, 3),
+                                                  min_size=len(cells),
+                                                  max_size=len(cells)))):
+            if x:
+                rows[r][c] = x
+        ops.append((p, rows))
+    return tuple(par), ops
+
+
+def _int_matmul(A, B):
+    out = [{} for _ in A]
+    for o, row in zip(out, A):
+        for j, x in row.items():
+            for l, y in B[j].items():
+                o[l] = o.get(l, 0) + x * y
+    return [{c: v for c, v in r.items() if v} for r in out]
+
+
+def _kron(A, B, op_parity_b, par_a, scale):
+    out = _kron_accumulate([{} for _ in range(len(A) * len(B))], A, B,
+                           op_parity_b, par_a, scale)
+    return [{c: v for c, v in r.items() if v} for r in out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graded_ops(2), _graded_ops(2), st.integers(1, 4), st.integers(1, 4))
+def test_kron_accumulate_is_the_graded_kronecker_product(V, W, s, t):
+    """(A (x) B)(C (x) D) = (-1)^{|B||C|} AC (x) BD for homogeneous A, C on V
+    and B, D on W, with _kron_accumulate's scale multiplying through."""
+    par_a, ((pa, A), (pc, C)) = V
+    _, ((pb, B), (pd, D)) = W
+    left = _int_matmul(_kron(A, B, pb, par_a, s), _kron(C, D, pd, par_a, t))
+    sign = -1 if pb and pc else 1
+    right = _kron(_int_matmul(A, C), _int_matmul(B, D), (pb + pd) % 2, par_a,
+                  sign * s * t)
+    assert left == right
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +373,9 @@ def test_truncated_tensor_file_round_trip(tmp_path):
 
 
 def _stores_no_zero(m):
-    """Every stored entry is a nonzero Scalar, never a bare int."""
-    return all(isinstance(x, Scalar) and x for row in m.T for op in row
-               for R in op.rows for r in R for x in r.values())
+    """Every operator stores nonzero ints over a den >= 1 sharing no factor
+    with all of them, and its dense view is entry / den."""
+    return all(is_canonical(op) for row in m.T for op in row)
 
 
 _elementary = st.builds(
@@ -336,7 +388,7 @@ _elementary = st.builds(
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_elementary, _elementary, st.integers(0, 35))
 def test_tensor_dual_and_quotient_store_no_zero(a, b, i):
-    """No zero and no bare int in the operators of a tensor product, its
+    """No zero and no common factor in the operators of a tensor product, its
     dual, its u -> u + 1/2 twist and its quotient by the submodule a basis
     vector generates, nor a zero in their files, which list entries in
     row-major order."""

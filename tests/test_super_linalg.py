@@ -5,12 +5,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yosp.exact_arith import KAPPA, ONE, Scalar, UniPoly, ZERO, rat
+from yosp.exact_arith import KAPPA, ONE, UniPoly, ZERO, rat
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R,
                                iprime, st_sign, theta)
 
-from dense import dense_rows, eye, sparse_rows
+from dense import dense_rows, eye, is_canonical, sparse_rows
 from rmatrix import rc_eval, ybe_holds_at
 
 P, Q, RC = build_P_Q_R()
@@ -261,15 +261,15 @@ def test_bracket_const_matches_dense_oracle(data):
 
 
 # ---------------------------------------------------------------------------
-# The representation's invariant: an operator stores sparse rows and never a
-# zero, whatever cancels.
+# The representation's invariant: an operator stores integer sparse rows
+# over its least denominator and never a zero, whatever cancels.
 # ---------------------------------------------------------------------------
 
 def stores_no_zero(op):
-    """Every stored entry is a nonzero Scalar: the integer kernels behind
-    _combine and bracket_const never leave a bare int behind."""
-    return all(isinstance(x, Scalar) and x
-               for R in op.rows for row in R for x in row.values())
+    """Every stored entry is a nonzero int, den >= 1 shares no factor with
+    all of them, and the dense view is entry / den: the integer kernels
+    behind _combine and bracket_const leave no zero and no common factor."""
+    return is_canonical(op)
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,11 +279,21 @@ def test_no_operation_stores_a_zero(data):
     c = data.draw(_scalars)
     p = data.draw(st.lists(_scalars, min_size=1, max_size=3))
     p = UniPoly(p) if any(p) else UniPoly([ONE])
-    M = sparse_rows(data.draw(sparse_matrix(dim)))
-    results = [A, B, A + B, A - B, -A, A.scale(c), A.scale(0), A.mul_poly(p),
-               A.shift(c), A.reflect(c), A.bracket_const(M, 1),
-               A.bracket_const(M, 0), A.trim(), (A + B).trim()]
-    assert all(stores_no_zero(op) for op in results)
+    Md = data.draw(sparse_matrix(dim))
+    M = sparse_rows(Md)
+    results = [(A + B, oracle_add(A, B)), (A - B, oracle_add(A, B, -1)),
+               (-A, oracle_scale(A, -1)), (A.scale(c), oracle_scale(A, c)),
+               (A.scale(0), oracle_scale(A, 0)),
+               (A.mul_poly(p), oracle_mul_poly(A, p)),
+               (A.shift(c), oracle_shift(A, c)),
+               (A.reflect(c), oracle_reflect(A, c)),
+               (A.bracket_const(M, 1), oracle_bracket(A, Md, 1)),
+               (A.bracket_const(M, 0), oracle_bracket(A, Md, 0)),
+               (A.trim(), oracle_trim(A)),
+               ((A + B).trim(), oracle_trim(A + B))]
+    assert stores_no_zero(A) and stores_no_zero(B)
+    # each result keeps the invariant, and its view is the Fraction oracle's
+    assert all(stores_no_zero(op) and op.coeffs == want for op, want in results)
     # A - A cancels every entry: nothing is left stored
     assert (A - A).rows == [[{} for _ in range(dim)] for _ in A.rows]
     assert len((A - A).trim().rows) == 1
@@ -295,3 +305,7 @@ def test_dense_view_round_trips(dim_ops):
     _, (A,) = dim_ops
     assert OperatorPoly(A.coeffs, A.op_parity).coeffs == A.coeffs
     assert OperatorPoly(A.coeffs, A.op_parity).rows == A.rows
+    # the sparse Fraction rows of the view construct the same operator
+    B = OperatorPoly.from_rows([sparse_rows(M) for M in A.coeffs], A.op_parity)
+    assert (B.rows, B.den, B.op_parity) == (A.rows, A.den, A.op_parity)
+    assert B.coeffs == A.coeffs
