@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.  Vectors and matrix rows are
-sparse {index: nonzero entry} dicts, whose entries may be ints or Fractions:
-the products and sums below never ask which.  Row reduction (rank, kernels,
-inverses, spans) runs through one sparse echelon Span, which divides and so
-returns Fractions.  Dense matrices (lists of rows) remain only where
-perfbench pins them by name or type, until the benchmark refresh (ROADMAP
-E0): zeros, mat_sub, mat_scale and mat_mul, which the Gauss check computes
-with, and mat_add (all in WRAPPED; mat_mul in matmul36_ms); the dense I/O of
-inverse, and sparse_vec; OperatorPoly's dense constructor, coeffs, coeff(k)
-and eval (_flipped_copy, digest, _tensor_probe, muladd_ns)."""
+sparse {index: nonzero entry} dicts of ints or Fractions; a matrix acts on a
+vector through its sparse columns.  Row reduction (rank, kernels, inverses,
+spans) runs through one sparse echelon Span of primitive integer rows,
+fraction-free (Bareiss, Math. Comp. 22 (1968)), whose results are Fractions.
+Dense matrices (lists of rows) remain only where perfbench pins them by
+name or type, until the benchmark refresh (ROADMAP E0): zeros, mat_sub,
+mat_scale and mat_mul, which the Gauss check computes with, and mat_add (all
+in WRAPPED; mat_mul in matmul36_ms); the dense I/O of inverse, and
+sparse_vec; OperatorPoly's dense constructor, coeffs, coeff(k) and eval
+(_flipped_copy, digest, _tensor_probe, muladd_ns)."""
 
 from __future__ import annotations
 
-from .exact_arith import ZERO, ONE, rat
+from math import gcd, lcm
+
+from .exact_arith import ZERO, ONE, Scalar, rat
 
 
 class SingularMatrix(ArithmeticError):
@@ -75,19 +78,42 @@ def add_multiple(r, f, row):
                 del r[c]
 
 
-def sparse_mat_vec(rows, v):
-    """M v for M as sparse rows and v a sparse {column: entry} dict, as a
-    sparse dict without zeros."""
-    out = {}
+def columns(rows):
+    """The sparse columns {column: {row: entry}} of a matrix given by sparse rows."""
+    cols = {}
     for a, row in enumerate(rows):
-        acc = None
         for c, x in row.items():
-            y = v.get(c)
-            if y is not None:
-                acc = x * y if acc is None else acc + x * y
-        if acc:
-            out[a] = acc
+            cols.setdefault(c, {})[a] = x
+    return cols
+
+
+def mat_vec(cols, v):
+    """M v for M as its sparse columns: v[c] times column c, summed, no zeros."""
+    out = {}
+    for c, x in v.items():
+        add_multiple(out, x, cols.get(c, {}))
     return out
+
+
+def integral(v):
+    """(w, s): the integer vector w = s v, for s the lcm of v's denominators."""
+    s = lcm(*{x.denominator for x in v.values() if type(x) is not int})
+    return {c: x.numerator * (s // x.denominator) for c, x in v.items()}, s
+
+
+def primitive(v):
+    """A nonzero integer vector over the gcd of its entries, its first entry > 0."""
+    g = gcd(*v.values()) if v[min(v)] > 0 else -gcd(*v.values())
+    return v if g == 1 else {c: x // g for c, x in v.items()}
+
+
+def _eliminate(r, row, p):
+    """(f r - g row, f), f > 0 least to clear column p; r edited in place if f = 1."""
+    f = row[p] // gcd(row[p], r[p])
+    if f != 1:
+        r = {c: f * x for c, x in r.items()}
+    add_multiple(r, -(r[p] // row[p]), row)
+    return r, f
 
 
 def rref(rows):
@@ -107,16 +133,8 @@ def nullspace(rows, width: int):
     sparse vector per free column, 1 there and 0 at the other free columns."""
     R, pivots = rref(rows)
     pivset = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivset:
-            continue
-        v = {free: ONE}
-        for r, p in zip(R, pivots):
-            if free in r:
-                v[p] = -r[free]
-        basis.append(v)
-    return basis
+    return [{free: ONE, **{p: -r[free] for r, p in zip(R, pivots) if free in r}}
+            for free in range(width) if free not in pivset]
 
 
 def inverse(A):
@@ -129,42 +147,48 @@ def inverse(A):
 
 
 class Span:
-    """A subspace with its unique reduced-row-echelon basis, built a vector
-    at a time: each row is a sparse {column: entry} dict, 1 at its pivot (its
-    first column) and with no entry at another row's pivot."""
+    """A subspace with its unique reduced-row-echelon basis, built a vector at
+    a time.  Each row is kept as the primitive integer multiple of its reduced
+    echelon row: positive at its pivot (its first column), with no entry at
+    another row's pivot.  basis() and reduce() divide on the way out."""
 
     def __init__(self):
-        self._rows = {}  # pivot column -> sparse row
+        self._rows = {}  # pivot column -> primitive integer row
+
+    def _reduce(self, v):
+        """(w, s): s > 0 times v modulo the span, as an integer vector w."""
+        w, s = integral(v)
+        # Subtracting a row adds no entry at a pivot: only v's pivots matter.
+        for p in [c for c in w if c in self._rows]:
+            w, f = _eliminate(w, self._rows[p], p)
+            s *= f
+        return w, s
 
     def reduce(self, v):
-        """v modulo the span, as a sparse dict with no entry at a pivot; v is
-        a sparse {column: entry} dict without zeros."""
-        r = dict(v)
-        # Subtracting a row adds no entry at a pivot: only v's pivots matter.
-        for p in [c for c in r if c in self._rows]:
-            add_multiple(r, -r[p], self._rows[p])
-        return r
+        """v modulo the span: no entry at a pivot, v minus a combination of rows."""
+        w, s = self._reduce(v)
+        return {c: Scalar(x, s) for c, x in w.items()}
 
     def add(self, v) -> bool:
         """Add a vector; True when it enlarged the span."""
-        r = self.reduce(v)
+        r = self._reduce(v)[0]
         if not r:
             return False
+        r = primitive(r)
         p = min(r)
-        inv = ONE / r[p]
-        r = {c: x * inv for c, x in r.items()}
-        for row in self._rows.values():
+        for q, row in self._rows.items():
             if p in row:
-                add_multiple(row, -row[p], r)
+                self._rows[q] = primitive(_eliminate(row, r, p)[0])
         self._rows[p] = r
         return True
 
     def contains(self, v) -> bool:
-        return not self.reduce(v)
+        return not self._reduce(v)[0]
 
     def pivots(self):
         return sorted(self._rows)
 
     def basis(self):
-        """Copies of the rows, in pivot order (add edits its rows in place)."""
-        return [dict(self._rows[p]) for p in self.pivots()]
+        """The reduced echelon rows, in pivot order, as Fractions."""
+        return [{c: Scalar(x, row[p]) for c, x in row.items()}
+                for p, row in sorted(self._rows.items())]

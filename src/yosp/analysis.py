@@ -13,14 +13,15 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
-from ._linalg import (SingularMatrix, Span, add_multiple, inverse, mat_mul,
-                      mat_scale, mat_sub, nullspace, rank, sparse_mat_vec)
+from ._linalg import (SingularMatrix, Span, add_multiple, columns, integral,
+                      inverse, mat_mul, mat_scale, mat_sub, mat_vec, nullspace,
+                      primitive, rank)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import ModuleRep, TruncatedInput, to_json_dict
@@ -392,11 +393,14 @@ def _coeff_matrices(m: ModuleRep, pairs=None):
     return [R for i, j in pairs for R in m.op(i, j).rows]
 
 
-def _restrict(rows, idxs):
-    """Sparse rows cut to the columns idxs, renumbered 0, 1, ...; empty rows dropped."""
-    pos = {c: k for k, c in enumerate(idxs)}
-    out = ({pos[c]: x for c, x in row.items() if c in pos} for row in rows)
-    return [r for r in out if r]
+def _restrict(cols, idxs):
+    """The nonempty rows of a matrix, given by its sparse columns, cut to the
+    columns idxs and renumbered 0, 1, ..., in row order."""
+    out = {}
+    for k, c in enumerate(idxs):
+        for a, x in cols.get(c, {}).items():
+            out.setdefault(a, {})[k] = x
+    return [out[a] for a in sorted(out)]
 
 
 def singular_vectors(m: ModuleRep) -> Subspace:
@@ -407,12 +411,11 @@ def singular_vectors(m: ModuleRep) -> Subspace:
 
 
 def _singular_vectors(m):
-    raising = [row for R in _coeff_matrices(m, _RAISING) for row in R]
+    raising = columns([row for R in _coeff_matrices(m, _RAISING) for row in R])
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
-    by_weight = m.space.weight_spaces()
-    for w in sorted(by_weight, reverse=True):
-        idxs = [i for i in by_weight[w] if i in cols_ok]
+    for _, idxs in sorted(m.space.weight_spaces().items(), reverse=True):
+        idxs = [i for i in idxs if i in cols_ok]
         for v in nullspace(_restrict(raising, idxs), len(idxs)):
             basis.append({idxs[k]: x for k, x in v.items()})
     return Subspace(basis)
@@ -421,7 +424,7 @@ def _singular_vectors(m):
 def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
     """True when m is exact and v is singular and a t_ii(u) eigenvector
     for i = 1, 2, 3."""
-    if m.truncated or any(sparse_mat_vec(R, v) for R in _coeff_matrices(m, _RAISING)):
+    if m.truncated or any(mat_vec(columns(R), v) for R in _coeff_matrices(m, _RAISING)):
         return False
     try:
         for i in range(1, 4):
@@ -429,12 +432,6 @@ def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _primitive(v: Dict[int, int]) -> Dict[int, int]:
-    """An integer vector divided by the gcd of its entries."""
-    g = gcd(*v.values())
-    return v if g == 1 else {c: x // g for c, x in v.items()}
 
 
 def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
@@ -462,15 +459,16 @@ def _cyclic_span(m, v):
     span = Span()
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
-    mats = _coeff_matrices(m, _LOWERING if _is_highest_vector(m, v) else None)
-    frontier = [_primitive(OperatorPoly.from_rows([[v]], 0).rows[0][0])]
+    mats = [columns(R) for R in
+            _coeff_matrices(m, _LOWERING if _is_highest_vector(m, v) else None)]
+    frontier = [primitive(integral(v)[0])]
     while frontier:
         nxt = []
         for x in frontier:
-            for R in mats:
-                y = sparse_mat_vec(R, x)
+            for C in mats:
+                y = mat_vec(C, x)
                 if span.add(y):
-                    nxt.append(_primitive(y))
+                    nxt.append(primitive(y))
         frontier = nxt
     return Subspace(span.basis())
 
@@ -487,9 +485,12 @@ def _quotient_module(m, k):
         if len({m.space.weight[i] for i in b}) > 1:
             raise ValueError("subspace basis must be weight-homogeneous")
         span.add(b)
-    for R in _coeff_matrices(m):
+    if len(span.pivots()) == m.dim:
+        raise ValueError("the subspace is the whole module, so the quotient "
+                         "is zero")
+    for C in map(columns, _coeff_matrices(m)):
         for b in k.basis:
-            if not span.contains(sparse_mat_vec(R, b)):
+            if not span.contains(mat_vec(C, b)):
                 raise NotInvariant("subspace is not stable under the action")
     pivots = set(span.pivots())
     keep = [i for i in range(m.dim) if i not in pivots]
@@ -501,14 +502,11 @@ def _quotient_module(m, k):
             op = m.T[i][j]
             rows = []
             for R in map(op.sparse_coeff, range(len(op.rows))):
-                cols = [{} for _ in range(m.dim)]
-                for a, row in enumerate(R):
-                    for c, x in row.items():
-                        cols[c][a] = x
+                cols = columns(R)
                 Q = [{} for _ in range(n)]
                 # Column b of the quotient is column keep[b] of R modulo k.
                 for b, c in enumerate(keep):
-                    for a, x in span.reduce(cols[c]).items():
+                    for a, x in span.reduce(cols.get(c, {})).items():
                         Q[pos[a]][b] = x
                 rows.append(Q)
             T[i][j] = OperatorPoly.from_rows(rows, op.op_parity).trim()
@@ -517,8 +515,7 @@ def _quotient_module(m, k):
                         tuple(m.space.weight[i] for i in keep),
                         tuple(m.space.labels[i] for i in keep))
     hi = pos.get(m.highest_index)
-    if hi is None:
-        hi = max(range(n), key=lambda a: space.weight[a])
+    hi = max(range(n), key=lambda a: space.weight[a]) if hi is None else hi
     return ModuleRep(space, m.denom, T, m.c, hi, list(m.factors))
 
 
@@ -676,12 +673,12 @@ def osp_action(m: ModuleRep):
             if got != want:
                 raise WeightMismatch(
                     f"F_11 entry ({a},{b}) = {got}, expected {want}")
-    by_weight = m.space.weight_spaces()
+    F12_cols = columns(F12)
     decomp: Dict[Scalar, int] = {}
-    for w, idxs in by_weight.items():
+    for w, idxs in m.space.weight_spaces().items():
         if w < 0:
             continue
-        mult = len(idxs) - rank(_restrict(F12, idxs))
+        mult = len(idxs) - rank(_restrict(F12_cols, idxs))
         if mult:
             decomp[w] = mult
     total = sum(mult * (2 * int(w) + 1) for w, mult in decomp.items())

@@ -13,7 +13,7 @@ from math import lcm
 from typing import Dict
 
 from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
-from ._linalg import sparse_mat_vec
+from ._linalg import columns, mat_vec
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -113,7 +113,7 @@ def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
     pivot = min(v)
     cs = []
     for R in m.op(i, i).rows:  # den times each coefficient: the test is scale-free
-        w = sparse_mat_vec(R, v)
+        w = mat_vec(columns(R), v)
         c = w.get(pivot, ZERO) / v[pivot]
         if w != ({a: c * x for a, x in v.items()} if c else {}):
             raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")

@@ -400,19 +400,25 @@ def _read_module(d: dict) -> ModuleRep:
                 raise ModuleFormatError(f"T_{i}{j} has {len(sparse)} "
                                         f"coefficients; deg d = {denom.degree}")
             rows = [[{} for _ in range(n)] for _ in sparse]
+            used = {}  # each distinct string of T_ij -> its rational
             for R, triples in zip(rows, sparse):
                 for a, b, x in triples:
                     if not (a in range(n) and b in range(n)):
                         raise ModuleFormatError(
                             f"T_{i}{j} entry ({a}, {b}) outside dimension {n}")
-                    if x not in parsed:
-                        parsed[x] = _scalar(x)
-                        if not parsed[x]:
-                            raise ModuleFormatError(
-                                f"T_{i}{j} entry ({a}, {b}) is listed as 0")
-                    R[a][b] = parsed[x]
-            T[i - 1][j - 1] = OperatorPoly.from_rows(
-                rows, (bar(i) + bar(j)) % 2).trim()
+                    if x not in used:
+                        if x not in parsed:
+                            parsed[x] = _scalar(x)
+                            if not parsed[x]:
+                                raise ModuleFormatError(
+                                    f"T_{i}{j} entry ({a}, {b}) is listed as 0")
+                        used[x] = parsed[x]
+                    R[a][b] = x
+            L = lcm(*{q.denominator for q in used.values()})
+            ints = {x: q.numerator * (L // q.denominator) for x, q in used.items()}
+            T[i - 1][j - 1] = OperatorPoly.from_int_rows(
+                [[{b: ints[x] for b, x in row.items()} for row in R] for R in rows],
+                L, (bar(i) + bar(j)) % 2).trim()
     c = RatFunc(UniPoly([_scalar(x) for x in d["c"]["num"]]),
                 UniPoly([_scalar(x) for x in d["c"]["den"]]))
     highest = d["highest_index"]

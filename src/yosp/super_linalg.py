@@ -250,10 +250,13 @@ class OperatorPoly:
                                           self.op_parity + m_parity)
 
     def trim(self):
-        rows = list(self.rows)
-        while len(rows) > 1 and not any(rows[-1]):
-            rows.pop()
-        return OperatorPoly.from_int_rows(rows, self.den, self.op_parity)
+        """Without its empty top coefficients: den and the gcd stay as they are."""
+        k = len(self.rows)
+        while k > 1 and not any(self.rows[k - 1]):
+            k -= 1
+        op = OperatorPoly.__new__(OperatorPoly)
+        op.rows, op.den, op.op_parity = self.rows[:k], self.den, self.op_parity
+        return op
 
     def __eq__(self, other):
         a, b = self.trim(), other.trim()

@@ -285,6 +285,16 @@ def test_quotient_by_zero_subspace_is_identity():
             assert q.op(i, j) == m.op(i, j)
 
 
+def test_quotient_by_the_whole_module_is_refused():
+    """The top vector of the example tensor spans the whole module: the
+    quotient would be zero, and the call says so before building it."""
+    tp = _example_tensor()
+    k = an.cyclic_span(tp, {tp.highest_index: ONE})
+    assert k.dim == tp.dim
+    with pytest.raises(ValueError, match="whole module, so the quotient is zero"):
+        an.quotient_module(tp, k)
+
+
 def test_quotient_rejects_non_invariant_subspace():
     m = build_elementary(rat(-2), rat(0))
     with pytest.raises(an.NotInvariant):

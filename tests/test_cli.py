@@ -46,6 +46,20 @@ def test_tensor_and_analysis_commands(tmp_path, capsys):
     assert main(["irreducible", q]) == 0
 
 
+def test_quotient_by_the_whole_module_is_a_usage_error(tmp_path, capsys):
+    """A file whose highest_index is not the top vector makes the top vector
+    a proper singular vector; it spans L(-2,0), so the quotient would be
+    zero and `yosp quotient` exits 2 with that reason."""
+    mod = tmp_path / "m.json"
+    main(["elementary", "--alpha", "-2", "--beta", "0", "--out", str(mod)])
+    d = json.loads(mod.read_text())
+    d["highest_index"] = len(d["basis"]) - 1
+    mod.write_text(json.dumps(d))
+    assert main(["quotient", str(mod), "--out", str(tmp_path / "q.json")]) == 2
+    assert "whole module, so the quotient is zero" in capsys.readouterr().err
+    assert not (tmp_path / "q.json").exists()
+
+
 def test_drinfeld_and_classify(tmp_path, capsys):
     mod = str(tmp_path / "m.json")
     main(["elementary", "--alpha", "-2", "--beta", "0", "--out", mod])

@@ -7,7 +7,7 @@ from hypothesis import (Phase, assume, example, given, settings,
                         strategies as st)
 
 from yosp.exact_arith import ONE, UniPoly, rat
-from yosp._linalg import Span, sparse_mat_vec
+from yosp._linalg import Span, columns, mat_vec
 from yosp.rep_core import build_elementary, build_small_verma
 from yosp.hopf_tensor import highest_weight_of, tensor_modules
 from yosp import analysis as an
@@ -18,14 +18,14 @@ def fraction_spin(m, v):
     every coefficient of all nine T_ij, spun in Fractions."""
     span = Span()
     span.add(v)
-    mats = [op.sparse_coeff(k) for row in m.T for op in row
+    mats = [columns(op.sparse_coeff(k)) for row in m.T for op in row
             for k in range(len(op.rows))]
     frontier = [v]
     while frontier:
         nxt = []
         for x in frontier:
             for R in mats:
-                y = sparse_mat_vec(R, x)
+                y = mat_vec(R, x)
                 if span.add(y):
                     nxt.append(y)
         frontier = nxt

@@ -1,6 +1,7 @@
 """Tests for the graded linear algebra and R-matrix layer."""
 
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +298,23 @@ def test_no_operation_stores_a_zero(data):
     # A - A cancels every entry: nothing is left stored
     assert (A - A).rows == [[{} for _ in range(dim)] for _ in A.rows]
     assert len((A - A).trim().rows) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_ops(count=1), st.integers(1, 3))
+def test_trim_copies_den_and_rows(dim_ops, pad):
+    """trim drops empty top coefficients without a second gcd scan: it
+    calls no constructor, keeps den and the rows, and stays canonical."""
+    dim, (A,) = dim_ops
+    padded = OperatorPoly.from_int_rows(
+        A.rows + [[{} for _ in range(dim)] for _ in range(pad)], A.den,
+        A.op_parity)
+    with mock.patch.object(OperatorPoly, "from_int_rows",
+                           side_effect=AssertionError("trim rebuilt")):
+        T, want = padded.trim(), A.trim()
+    assert is_canonical(T) and T.coeffs == oracle_trim(A)
+    assert (T.rows, T.den, T.op_parity) == (want.rows, A.den, A.op_parity)
+    assert T.rows is not padded.rows
 
 
 @settings(max_examples=60, deadline=None)
