@@ -95,6 +95,13 @@ def mat_vec(cols, v):
     return out
 
 
+def rows_vec(rows, v):
+    """M v for M as sparse rows, no zeros: for a v of few entries, cheaper
+    than transposing M for mat_vec."""
+    return {a: s for a, row in enumerate(rows)
+            if (s := sum(row[c] * y for c, y in v.items() if c in row))}
+
+
 def integral(v):
     """(w, s): the integer vector w = s v, for s the lcm of v's denominators."""
     s = lcm(*{x.denominator for x in v.values() if type(x) is not int})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
@@ -21,11 +22,11 @@ from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
 from ._linalg import (SingularMatrix, Span, add_multiple, columns, integral,
                       inverse, mat_mul, mat_scale, mat_sub, mat_vec, nullspace,
-                      primitive, rank)
+                      primitive, rank, rows_vec)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
-from .rep_core import ModuleRep, TruncatedInput, to_json_dict
-from .hopf_tensor import (HighestWeight, _sparse_input,
+from .rep_core import W_SHIFT, ModuleRep, TruncatedInput, to_json_dict
+from .hopf_tensor import (HighestWeight, _eigen_coeffs, _sparse_input,
                           tii_eigenvalue)  # re-export
 
 
@@ -383,14 +384,10 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 # grading once, then runs the unchecked _singular_vectors, _cyclic_span, ...
 # ---------------------------------------------------------------------------
 
+# Each T_ij acts through its stored integer rows: den times each u-coefficient,
+# which changes no kernel or span.
 _RAISING, _LOWERING = ((1, 2), (1, 3), (2, 3)), ((2, 1), (3, 1), (3, 2))
-
-
-def _coeff_matrices(m: ModuleRep, pairs=None):
-    """The u-coefficients of T_ij for (i, j) in pairs (default all nine) as
-    the stored integer rows: den times each, which changes no kernel or span."""
-    pairs = pairs or [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    return [R for i, j in pairs for R in m.op(i, j).rows]
+_ALL = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 
 
 def _restrict(cols, idxs):
@@ -411,7 +408,7 @@ def singular_vectors(m: ModuleRep) -> Subspace:
 
 
 def _singular_vectors(m):
-    raising = columns([row for R in _coeff_matrices(m, _RAISING) for row in R])
+    raising = columns([row for p in _RAISING for R in m.op(*p).rows for row in R])
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
     for _, idxs in sorted(m.space.weight_spaces().items(), reverse=True):
@@ -421,14 +418,14 @@ def _singular_vectors(m):
     return Subspace(basis)
 
 
-def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
-    """True when m is exact and v is singular and a t_ii(u) eigenvector
-    for i = 1, 2, 3."""
-    if m.truncated or any(mat_vec(columns(R), v) for R in _coeff_matrices(m, _RAISING)):
+def _is_highest_vector(m: ModuleRep, x: Dict[int, int]) -> bool:
+    """True when m is exact and the integer vector x is singular and a
+    t_ii(u) eigenvector for i = 1, 2, 3."""
+    if m.truncated or any(rows_vec(R, x) for p in _RAISING for R in m.op(*p).rows):
         return False
     try:
         for i in range(1, 4):
-            tii_eigenvalue(m, v, i)
+            _eigen_coeffs(m.op(i, i), x, i)
     except ValueError:
         return False
     return True
@@ -437,38 +434,55 @@ def _is_highest_vector(m: ModuleRep, v: Dict[int, Scalar]) -> bool:
 def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     """Closure of span{v} under all coefficient matrices of all nine T_ij,
     with its reduced echelon basis; v is a sparse {basis index: entry} dict.
-    ValueError when v is zero.
+    ValueError when v is zero or has an index outside the module.
 
     When m is exact and v is a highest vector (singular and a t_ii(u)
     eigenvector for i = 1, 2, 3), only the coefficients of T_21, T_31 and
     T_32 are applied.  This assumes m satisfies the RTT relation: then the
     triangular decomposition X = X^- X^0 X^+ of the Yangian holds (Molev,
     Yangians and Classical Lie Algebras, AMS 2007), X^+ and X^0 map v to
-    multiples of v, and so X v = X^- v, the span of the lowering
-    coefficients applied repeatedly to v.  Every other (m, v) spins all nine
-    operators.  The spin runs in integers (each operator's stored integer
-    rows, new vectors divided by their gcd); no scaling changes a span, and
-    its reduced echelon basis is unique.
+    multiples of v, and so X v = X^- v.  Every other (m, v) spins all nine
+    operators.  The spin runs in integers (stored integer rows, new vectors
+    divided by their gcd); no scaling changes a span or its unique reduced
+    echelon basis.  For a weight-homogeneous v (any other v spins every
+    product), a product is skipped when the span already holds dim V_mu
+    vectors of its target weight mu = wt(x) + w_i - w_j, or m has no weight
+    mu.  Every entry point runs the grading check first, so each coefficient
+    of T_ij maps V_mu into V_{mu+w_i-w_j} and each frontier vector is
+    homogeneous.  Once the span holds dim V_mu independent vectors of weight
+    mu it contains all of V_mu, so no product landing there can enlarge it.
     """
     _require_grading(m)
     return _cyclic_span(m, v)
 
 
 def _cyclic_span(m, v):
-    v = _sparse_input(v)
+    v = _sparse_input(v, m.dim)
     span = Span()
     if not span.add(v):
         raise ValueError("cyclic span of the zero vector")
-    mats = [columns(R) for R in
-            _coeff_matrices(m, _LOWERING if _is_highest_vector(m, v) else None)]
-    frontier = [primitive(integral(v)[0])]
+    x = primitive(integral(v)[0])
+    mats = [(W_SHIFT[i] - W_SHIFT[j], [columns(R) for R in m.op(i, j).rows])
+            for i, j in (_LOWERING if _is_highest_vector(m, x) else _ALL)]
+    # room[k]: how many more vectors of weight wt(v) + k the span can take;
+    # a v of mixed weight gets room it never runs out of.
+    wt, room = m.space.weight, defaultdict(lambda: m.dim)
+    if len({wt[c] for c in v}) == 1:
+        room = Counter(d.numerator for d in (w - wt[min(v)] for w in wt)
+                       if d.denominator == 1)
+    room[0] -= 1
+    frontier = [(0, x)]
     while frontier:
         nxt = []
-        for x in frontier:
-            for C in mats:
-                y = mat_vec(C, x)
-                if span.add(y):
-                    nxt.append(primitive(y))
+        for k, x in frontier:
+            for s, Cs in mats:
+                for C in Cs:
+                    if not room[k + s]:
+                        break
+                    y = mat_vec(C, x)
+                    if span.add(y):
+                        nxt.append((k + s, primitive(y)))
+                        room[k + s] -= 1
         frontier = nxt
     return Subspace(span.basis())
 
@@ -488,7 +502,7 @@ def _quotient_module(m, k):
     if len(span.pivots()) == m.dim:
         raise ValueError("the subspace is the whole module, so the quotient "
                          "is zero")
-    for C in map(columns, _coeff_matrices(m)):
+    for C in (columns(R) for p in _ALL for R in m.op(*p).rows):
         for b in k.basis:
             if not span.contains(mat_vec(C, b)):
                 raise NotInvariant("subspace is not stable under the action")
@@ -559,14 +573,9 @@ def check_tensor_criterion(pairs: Sequence[Tuple]) -> bool:
     k = len(ps)
     for h in range(k - 1):
         ah, bh = ps[h]
-        plain = []
-        shifted = []
-        for i in range(h, k):
-            ai, bi = ps[i]
-            plain.extend([bh - ai, bi - ah])
-            shifted.extend([bh - ai + HALF, bi - ah + HALF])
+        plain = [x for ai, bi in ps[h:] for x in (bh - ai, bi - ah)]
         plain_p = [x for x in plain if _is_znn(x)]
-        shifted_p = [x for x in shifted if _is_znn(x)]
+        shifted_p = [x + HALF for x in plain if _is_znn(x + HALF)]
         if plain_p:
             combined = plain_p + shifted_p
             if not (_is_znn(bh - ah) and bh - ah == min(combined)):
@@ -628,11 +637,7 @@ def classify_finite_dim(hw: HighestWeight) -> bool:
 # ---------------------------------------------------------------------------
 
 def character_of(m: ModuleRep) -> WeightCharacter:
-    counts: Dict[Scalar, int] = {}
-    for w in m.space.weight:
-        counts[w] = counts.get(w, 0) + 1
-    return WeightCharacter(sorted(counts.items(), key=lambda p: p[0],
-                                  reverse=True))
+    return WeightCharacter(sorted(Counter(m.space.weight).items(), reverse=True))
 
 
 def closed_character(numer: Dict[int, int], offsets: range) -> List[int]:

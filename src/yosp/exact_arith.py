@@ -29,9 +29,7 @@ def rat(x, y=None) -> Scalar:
     """
     if y is not None:
         return Scalar(x) / Scalar(y)
-    if isinstance(x, Scalar):
-        return x
-    return Scalar(x)
+    return x if isinstance(x, Scalar) else Scalar(x)
 
 
 def rat_str(x) -> str:
@@ -159,19 +157,9 @@ class UniPoly:
         return a.monic() if not a.is_zero() else a
 
     def __repr__(self):
-        if self.is_zero():
-            return "UniPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"({c})*u")
-            else:
-                terms.append(f"({c})*u^{i}")
-        return "UniPoly(" + " + ".join(terms) + ")"
+        terms = [f"{c}" if i == 0 else f"({c})*u" if i == 1 else f"({c})*u^{i}"
+                 for i, c in enumerate(self.coeffs) if c != 0]
+        return "UniPoly(" + (" + ".join(terms) or "0") + ")"
 
 
 class RatFunc:

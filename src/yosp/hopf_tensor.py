@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict
 
-from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, ZERO, rat
-from ._linalg import columns, mat_vec
+from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, rat
+from ._linalg import integral, rows_vec
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -98,27 +98,39 @@ def _kron_accumulate(out, A, B, op_parity_b, source_parity_a, scale=1):
     return out
 
 
-def _sparse_input(v) -> Dict[int, Scalar]:
-    """A caller's {index: entry} vector as Scalars, its zero entries dropped."""
+def _sparse_input(v, n: int) -> Dict[int, Scalar]:
+    """A caller's {index: entry} vector as Scalars, its zero entries dropped;
+    ValueError when an index lies outside range(n)."""
+    for i in v:
+        if not 0 <= i < n:
+            raise ValueError(f"vector index {i} is outside range({n})")
     return {i: y for i, x in v.items() if (y := rat(x))}
+
+
+def _eigen_coeffs(op, x, i: int):
+    """The c_k with R_k x = c_k x for the stored integer rows R_k of op = T_ii
+    on a nonzero integer vector x, compared by cross-multiplication at x's
+    first index p; ValueError when x is not an eigenvector of one."""
+    p, cs = min(x), []
+    for R in op.rows:
+        w = rows_vec(R, x)
+        a, b = w.get(p, 0), x[p]
+        if any(w.get(c, 0) * b != x.get(c, 0) * a for c in w.keys() | x.keys()):
+            raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
+        cs.append(Scalar(a, b))
+    return cs
 
 
 def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
     """The eigenvalue of t_ii(u) on a common eigenvector v, a sparse
-    {basis index: entry} dict, as a RatFunc; ValueError when v is zero or
-    not an eigenvector of every coefficient of T_ii(u)."""
-    v = _sparse_input(v)
+    {basis index: entry} dict, as a RatFunc; ValueError when v is zero, has
+    an index outside m, or is not an eigenvector of each coefficient of T_ii."""
+    v = _sparse_input(v, m.dim)
     if not v:
         raise ValueError("eigenvalue of the zero vector")
-    pivot = min(v)
-    cs = []
-    for R in m.op(i, i).rows:  # den times each coefficient: the test is scale-free
-        w = mat_vec(columns(R), v)
-        c = w.get(pivot, ZERO) / v[pivot]
-        if w != ({a: c * x for a, x in v.items()} if c else {}):
-            raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
-        cs.append(c / m.op(i, i).den)
-    return RatFunc(UniPoly(cs), m.denom)
+    op = m.op(i, i)  # den times each coefficient: the test is scale-free
+    cs = _eigen_coeffs(op, integral(v)[0], i)
+    return RatFunc(UniPoly([c / op.den for c in cs]), m.denom)
 
 
 def highest_weight_of(m: ModuleRep) -> HighestWeight:

@@ -217,7 +217,8 @@ def test_tii_eigenvalues_on_zeta():
 
 def test_tii_eigenvalue_rejects_a_non_eigenvector():
     """xi_00 + xi_01 mixes two t_11 eigenvalues; so does zeta plus the
-    highest vector of the example tensor."""
+    highest vector of the example tensor.  t_11 maps the unit vector at
+    (xi_01, xi_00) off its own line."""
     m = build_elementary(rat(-2), rat(0))
     v = [a + b for a, b in zip(_unit(m, ((0, 0),)), _unit(m, ((0, 1),)))]
     with pytest.raises(ValueError, match="eigenvector"):
@@ -228,6 +229,8 @@ def test_tii_eigenvalue_rejects_a_non_eigenvector():
     for i in (1, 2):
         with pytest.raises(ValueError, match="eigenvector"):
             an.tii_eigenvalue(tp, sparse(z), i)
+    with pytest.raises(ValueError, match="eigenvector"):
+        an.tii_eigenvalue(tp, {tp.space.labels.index(((0, 1), (0, 0))): ONE}, 1)
 
 
 def test_cyclic_span_of_highest_vector_fills_irreducible():
@@ -247,6 +250,17 @@ def test_structure_vectors_are_coerced_and_zero_is_refused():
             an.cyclic_span(m, zero)
         with pytest.raises(ValueError):
             an.tii_eigenvalue(m, zero, 1)
+
+
+def test_structure_vectors_with_an_index_outside_the_module_are_refused():
+    """cyclic_span and tii_eigenvalue refuse an index outside range(dim),
+    even one whose entry is zero."""
+    m = build_elementary(rat(-2), rat(0))
+    for v in ({99: 1}, {-1: 1}, {m.dim: 1}, {0: 1, m.dim: 0}):
+        with pytest.raises(ValueError, match="outside"):
+            an.cyclic_span(m, v)
+        with pytest.raises(ValueError, match="outside"):
+            an.tii_eigenvalue(m, v, 1)
 
 
 def test_cyclic_span_of_zeta_is_a_line():
