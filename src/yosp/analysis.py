@@ -384,8 +384,7 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 # grading once, then runs the unchecked _singular_vectors, _cyclic_span, ...
 # ---------------------------------------------------------------------------
 
-# Each T_ij acts through its stored integer rows: den times each u-coefficient,
-# which changes no kernel or span.
+# T_ij acts through its stored integer rows, den times each u-coefficient.
 _RAISING, _LOWERING = ((1, 2), (1, 3), (2, 3)), ((2, 1), (3, 1), (3, 2))
 _ALL = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 
@@ -438,19 +437,18 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
 
     When m is exact and v is a highest vector (singular and a t_ii(u)
     eigenvector for i = 1, 2, 3), only the coefficients of T_21, T_31 and
-    T_32 are applied.  This assumes m satisfies the RTT relation: then the
-    triangular decomposition X = X^- X^0 X^+ of the Yangian holds (Molev,
-    Yangians and Classical Lie Algebras, AMS 2007), X^+ and X^0 map v to
-    multiples of v, and so X v = X^- v.  Every other (m, v) spins all nine
-    operators.  The spin runs in integers (stored integer rows, new vectors
-    divided by their gcd); no scaling changes a span or its unique reduced
-    echelon basis.  For a weight-homogeneous v (any other v spins every
-    product), a product is skipped when the span already holds dim V_mu
-    vectors of its target weight mu = wt(x) + w_i - w_j, or m has no weight
-    mu.  Every entry point runs the grading check first, so each coefficient
-    of T_ij maps V_mu into V_{mu+w_i-w_j} and each frontier vector is
-    homogeneous.  Once the span holds dim V_mu independent vectors of weight
-    mu it contains all of V_mu, so no product landing there can enlarge it.
+    T_32 are applied: if m satisfies RTT, the triangular decomposition
+    X = X^- X^0 X^+ of the Yangian (Molev, Yangians and Classical Lie
+    Algebras, AMS 2007) gives X v = X^- v, as X^+ and X^0 map v to multiples
+    of v.  The spin runs in integers; no scaling changes a span or its
+    unique reduced echelon basis.  For a weight-homogeneous v (any other v
+    spins every product), a product is skipped when the span already holds
+    dim V_mu vectors of its target weight mu = wt(x) + w_i - w_j, or m has
+    no weight mu.  Every entry point runs the grading check first, so each
+    coefficient of T_ij maps V_mu into V_{mu+w_i-w_j} and each frontier
+    vector is homogeneous.  Once the span holds dim V_mu independent
+    vectors of weight mu it contains all of V_mu, so no product landing
+    there can enlarge it.
     """
     _require_grading(m)
     return _cyclic_span(m, v)

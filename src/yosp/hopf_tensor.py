@@ -101,16 +101,14 @@ def _kron_accumulate(out, A, B, op_parity_b, source_parity_a, scale=1):
 def _sparse_input(v, n: int) -> Dict[int, Scalar]:
     """A caller's {index: entry} vector as Scalars, its zero entries dropped;
     ValueError when an index lies outside range(n)."""
-    for i in v:
-        if not 0 <= i < n:
-            raise ValueError(f"vector index {i} is outside range({n})")
+    if any(not 0 <= i < n for i in v):
+        raise ValueError(f"a vector index is outside range({n})")
     return {i: y for i, x in v.items() if (y := rat(x))}
 
 
 def _eigen_coeffs(op, x, i: int):
-    """The c_k with R_k x = c_k x for the stored integer rows R_k of op = T_ii
-    on a nonzero integer vector x, compared by cross-multiplication at x's
-    first index p; ValueError when x is not an eigenvector of one."""
+    """The c_k with R_k x = c_k x for op's integer rows R_k and a nonzero
+    integer x, by cross-multiplication at x's first index; else ValueError."""
     p, cs = min(x), []
     for R in op.rows:
         w = rows_vec(R, x)
