@@ -384,7 +384,7 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 # grading once, then runs the unchecked _singular_vectors, _cyclic_span, ...
 # ---------------------------------------------------------------------------
 
-# T_ij acts through its stored integer rows, den times each u-coefficient.
+# T_ij acts by its integer rows (den times each coefficient): kernels and spans agree.
 _RAISING, _LOWERING = ((1, 2), (1, 3), (2, 3)), ((2, 1), (3, 1), (3, 2))
 _ALL = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 
