@@ -95,12 +95,6 @@ def mat_vec(cols, v):
     return out
 
 
-def rows_vec(rows, v):
-    """M v for M as sparse rows, no zeros: for a short v, no transpose."""
-    return {a: s for a, row in enumerate(rows)
-            if (s := sum(row[c] * y for c, y in v.items() if c in row))}
-
-
 def integral(v):
     """(w, s): the integer vector w = s v, for s the lcm of v's denominators."""
     s = lcm(*{x.denominator for x in v.values() if type(x) is not int})
@@ -136,14 +130,8 @@ def rank(rows) -> int:
 
 def nullspace(rows, width: int):
     """Basis of {v : A v = 0} for A as sparse rows over `width` columns: a
-    sparse vector per free column, 1 there and 0 at the other free columns.
-    Once the rank is `width` no further row is reduced: the kernel is zero."""
-    span = Span()
-    for r in rows:
-        if len(span._rows) == width:
-            return []
-        span.add(r)
-    R, pivots = span.basis(), span.pivots()
+    sparse vector per free column, 1 there and 0 at the other free columns."""
+    R, pivots = rref(rows)
     pivset = set(pivots)
     return [{free: ONE, **{p: -r[free] for r, p in zip(R, pivots) if free in r}}
             for free in range(width) if free not in pivset]

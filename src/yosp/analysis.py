@@ -22,7 +22,7 @@ from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
                           rat, rat_str)
 from ._linalg import (SingularMatrix, Span, add_multiple, columns, integral,
                       inverse, mat_mul, mat_scale, mat_sub, mat_vec, nullspace,
-                      primitive, rank, rows_vec)
+                      primitive, rank)
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import W_SHIFT, ModuleRep, TruncatedInput, to_json_dict
@@ -420,7 +420,8 @@ def _singular_vectors(m):
 def _is_highest_vector(m: ModuleRep, x: Dict[int, int]) -> bool:
     """True when m is exact and the integer vector x is singular and a
     t_ii(u) eigenvector for i = 1, 2, 3."""
-    if m.truncated or any(rows_vec(R, x) for p in _RAISING for R in m.op(*p).rows):
+    if m.truncated or any(mat_vec(columns(R), x) for p in _RAISING
+                          for R in m.op(*p).rows):
         return False
     try:
         for i in range(1, 4):
@@ -436,51 +437,41 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     ValueError when v is zero or has an index outside the module.
 
     When m is exact and v is a highest vector (singular and a t_ii(u)
-    eigenvector for i = 1, 2, 3), only the coefficients of T_21, T_31 and
-    T_32 are applied: if m satisfies RTT, the triangular decomposition
-    X = X^- X^0 X^+ of the Yangian (Molev, Yangians and Classical Lie
-    Algebras, AMS 2007) gives X v = X^- v, as X^+ and X^0 map v to multiples
-    of v.  The spin runs in integers; no scaling changes a span or its
-    unique reduced echelon basis.  For a weight-homogeneous v (any other v
-    spins every product), a product is skipped when the span already holds
-    dim V_mu vectors of its target weight mu = wt(x) + w_i - w_j, or m has
-    no weight mu.  Every entry point runs the grading check first, so each
+    eigenvector for i = 1, 2, 3), only T_21, T_31 and T_32 are applied: if m
+    satisfies RTT, the triangular decomposition X = X^- X^0 X^+ of the
+    Yangian (Molev, Yangians and Classical Lie Algebras, AMS 2007) gives
+    X v = X^- v, as X^+ and X^0 map v to multiples of v.  The spin runs in
+    integers (no scaling changes a span or its reduced echelon basis) and,
+    for a weight-homogeneous v, skips a product into weight mu = wt(x) +
+    w_i - w_j once the span holds dim V_mu vectors of weight mu (or m has no
+    weight mu).  Every entry point runs the grading check first, so each
     coefficient of T_ij maps V_mu into V_{mu+w_i-w_j} and each frontier
-    vector is homogeneous.  Once the span holds dim V_mu independent
-    vectors of weight mu it contains all of V_mu, so no product landing
-    there can enlarge it.
-    """
+    vector is homogeneous.  Once the span holds dim V_mu independent vectors
+    of weight mu it contains V_mu, so no product landing there can enlarge it."""
     _require_grading(m)
     return _cyclic_span(m, v)
 
 
 def _cyclic_span(m, v):
-    v = _sparse_input(v, m.dim)
+    x = primitive(integral(_sparse_input(v, m.dim))[0])
     span = Span()
-    if not span.add(v):
-        raise ValueError("cyclic span of the zero vector")
-    x = primitive(integral(v)[0])
-    mats = [(W_SHIFT[i] - W_SHIFT[j], [columns(R) for R in m.op(i, j).rows])
-            for i, j in (_LOWERING if _is_highest_vector(m, x) else _ALL)]
-    # room[k]: how many more vectors of weight wt(v) + k the span can take;
-    # a v of mixed weight gets room it never runs out of.
-    wt, room = m.space.weight, defaultdict(lambda: m.dim)
-    if len({wt[c] for c in v}) == 1:
-        room = Counter(d.numerator for d in (w - wt[min(v)] for w in wt)
-                       if d.denominator == 1)
+    span.add(x)
+    mats = [(W_SHIFT[i] - W_SHIFT[j], columns(R)) for i, j in
+            (_LOWERING if _is_highest_vector(m, x) else _ALL) for R in m.op(i, j).rows]
+    # room[k]: how many more vectors of weight wt(v) + k the span can take; a
+    # v of mixed weight gets room that runs out only once the span is full.
+    wt = m.space.weight
+    room = (Counter(w - wt[min(x)] for w in wt) if len({wt[c] for c in x}) == 1
+            else defaultdict(lambda: m.dim))
     room[0] -= 1
     frontier = [(0, x)]
     while frontier:
         nxt = []
         for k, x in frontier:
-            for s, Cs in mats:
-                for C in Cs:
-                    if not room[k + s]:
-                        break
-                    y = mat_vec(C, x)
-                    if span.add(y):
-                        nxt.append((k + s, primitive(y)))
-                        room[k + s] -= 1
+            for s, C in mats:
+                if room[k + s] and span.add(y := mat_vec(C, x)):
+                    nxt.append((k + s, primitive(y)))
+                    room[k + s] -= 1
         frontier = nxt
     return Subspace(span.basis())
 
@@ -571,9 +562,14 @@ def check_tensor_criterion(pairs: Sequence[Tuple]) -> bool:
     k = len(ps)
     for h in range(k - 1):
         ah, bh = ps[h]
-        plain = [x for ai, bi in ps[h:] for x in (bh - ai, bi - ah)]
+        plain = []
+        shifted = []
+        for i in range(h, k):
+            ai, bi = ps[i]
+            plain.extend([bh - ai, bi - ah])
+            shifted.extend([bh - ai + HALF, bi - ah + HALF])
         plain_p = [x for x in plain if _is_znn(x)]
-        shifted_p = [x + HALF for x in plain if _is_znn(x + HALF)]
+        shifted_p = [x for x in shifted if _is_znn(x)]
         if plain_p:
             combined = plain_p + shifted_p
             if not (_is_znn(bh - ah) and bh - ah == min(combined)):
@@ -635,7 +631,11 @@ def classify_finite_dim(hw: HighestWeight) -> bool:
 # ---------------------------------------------------------------------------
 
 def character_of(m: ModuleRep) -> WeightCharacter:
-    return WeightCharacter(sorted(Counter(m.space.weight).items(), reverse=True))
+    counts: Dict[Scalar, int] = {}
+    for w in m.space.weight:
+        counts[w] = counts.get(w, 0) + 1
+    return WeightCharacter(sorted(counts.items(), key=lambda p: p[0],
+                                  reverse=True))
 
 
 def closed_character(numer: Dict[int, int], offsets: range) -> List[int]:

@@ -29,7 +29,9 @@ def rat(x, y=None) -> Scalar:
     """
     if y is not None:
         return Scalar(x) / Scalar(y)
-    return x if isinstance(x, Scalar) else Scalar(x)
+    if isinstance(x, Scalar):
+        return x
+    return Scalar(x)
 
 
 def rat_str(x) -> str:
@@ -157,9 +159,19 @@ class UniPoly:
         return a.monic() if not a.is_zero() else a
 
     def __repr__(self):
-        terms = [f"{c}" if i == 0 else f"({c})*u" if i == 1 else f"({c})*u^{i}"
-                 for i, c in enumerate(self.coeffs) if c != 0]
-        return "UniPoly(" + (" + ".join(terms) or "0") + ")"
+        if self.is_zero():
+            return "UniPoly(0)"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(f"{c}")
+            elif i == 1:
+                terms.append(f"({c})*u")
+            else:
+                terms.append(f"({c})*u^{i}")
+        return "UniPoly(" + " + ".join(terms) + ")"
 
 
 class RatFunc:

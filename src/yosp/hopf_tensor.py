@@ -13,7 +13,7 @@ from math import lcm
 from typing import Dict
 
 from .exact_arith import HALF, ONE, RatFunc, Scalar, UniPoly, rat
-from ._linalg import integral, rows_vec
+from ._linalg import columns, integral, mat_vec
 from .super_linalg import OperatorPoly, bar, iprime, theta
 from .rep_core import Factor, ModuleRep
 
@@ -100,18 +100,19 @@ def _kron_accumulate(out, A, B, op_parity_b, source_parity_a, scale=1):
 
 def _sparse_input(v, n: int) -> Dict[int, Scalar]:
     """A caller's {index: entry} vector as Scalars, its zero entries dropped;
-    ValueError when an index lies outside range(n)."""
+    ValueError when it is zero or has an index outside range(n)."""
     if any(not 0 <= i < n for i in v):
         raise ValueError(f"a vector index is outside range({n})")
-    return {i: y for i, x in v.items() if (y := rat(x))}
+    if not (out := {i: y for i, x in v.items() if (y := rat(x))}):
+        raise ValueError("the vector is zero")
+    return out
 
 
 def _eigen_coeffs(op, x, i: int):
     """The c_k with R_k x = c_k x for op's integer rows R_k and a nonzero
     integer x, by cross-multiplication at x's first index; else ValueError."""
     p, cs = min(x), []
-    for R in op.rows:
-        w = rows_vec(R, x)
+    for w in (mat_vec(columns(R), x) for R in op.rows):
         a, b = w.get(p, 0), x[p]
         if any(w.get(c, 0) * b != x.get(c, 0) * a for c in w.keys() | x.keys()):
             raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
@@ -123,11 +124,8 @@ def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
     """The eigenvalue of t_ii(u) on a common eigenvector v, a sparse
     {basis index: entry} dict, as a RatFunc; ValueError when v is zero, has
     an index outside m, or is not an eigenvector of each coefficient of T_ii."""
-    v = _sparse_input(v, m.dim)
-    if not v:
-        raise ValueError("eigenvalue of the zero vector")
     op = m.op(i, i)  # den times each coefficient: the test is scale-free
-    cs = _eigen_coeffs(op, integral(v)[0], i)
+    cs = _eigen_coeffs(op, integral(_sparse_input(v, m.dim))[0], i)
     return RatFunc(UniPoly([c / op.den for c in cs]), m.denom)
 
 
