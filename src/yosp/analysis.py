@@ -380,8 +380,7 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Submodule structure.  Each entry point refuses a module that breaks its
-# grading once, then runs the unchecked _singular_vectors, _cyclic_span, ...
+# Submodule structure.  Each public function first refuses a broken grading.
 # ---------------------------------------------------------------------------
 
 # T_ij acts by its integer rows (den times each coefficient): kernels and spans agree.
@@ -403,10 +402,6 @@ def singular_vectors(m: ModuleRep) -> Subspace:
     """Common kernel of all u-coefficients of T_12, T_13, T_23, weight by
     weight, as sparse vectors: one per free index of each weight space."""
     _require_grading(m)
-    return _singular_vectors(m)
-
-
-def _singular_vectors(m):
     raising = columns([row for p in _RAISING for R in m.op(*p).rows for row in R])
     cols_ok = set(m.interior_indices(SINGULAR_MARGIN))
     basis = []
@@ -449,10 +444,6 @@ def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     vector is homogeneous.  Once the span holds dim V_mu independent vectors
     of weight mu it contains V_mu, so no product landing there can enlarge it."""
     _require_grading(m)
-    return _cyclic_span(m, v)
-
-
-def _cyclic_span(m, v):
     x = primitive(integral(_sparse_input(v, m.dim))[0])
     span = Span()
     span.add(x)
@@ -477,25 +468,20 @@ def _cyclic_span(m, v):
 
 
 def quotient_module(m: ModuleRep, k: Subspace) -> ModuleRep:
-    """Induced action on the complement of an invariant subspace."""
+    """Induced action on the complement of an invariant subspace k; ValueError
+    when a basis vector of k is zero, has an index that is not an int in
+    range(dim) or mixes weights, or when k is the whole module."""
     _require_grading(m)
-    return _quotient_module(m, k)
-
-
-def _quotient_module(m, k):
+    basis = [integral(_sparse_input(b, m.dim))[0] for b in k.basis]
     span = Span()
-    for b in k.basis:
+    for b in basis:
         if len({m.space.weight[i] for i in b}) > 1:
             raise ValueError("subspace basis must be weight-homogeneous")
         span.add(b)
-    if len(span.pivots()) == m.dim:
+    pivots = set(span.pivots())
+    if len(pivots) == m.dim:
         raise ValueError("the subspace is the whole module, so the quotient "
                          "is zero")
-    for C in (columns(R) for p in _ALL for R in m.op(*p).rows):
-        for b in k.basis:
-            if not span.contains(mat_vec(C, b)):
-                raise NotInvariant("subspace is not stable under the action")
-    pivots = set(span.pivots())
     keep = [i for i in range(m.dim) if i not in pivots]
     pos = {i: a for a, i in enumerate(keep)}
     n = len(keep)
@@ -504,13 +490,14 @@ def _quotient_module(m, k):
         for j in range(3):
             op = m.T[i][j]
             rows = []
-            for R in map(op.sparse_coeff, range(len(op.rows))):
-                cols = columns(R)
+            for cols in map(columns, op.rows):  # den times each coefficient
+                if not all(span.contains(mat_vec(cols, b)) for b in basis):
+                    raise NotInvariant("subspace is not stable under the action")
                 Q = [{} for _ in range(n)]
-                # Column b of the quotient is column keep[b] of R modulo k.
+                # Column b of the quotient is column keep[b] modulo k.
                 for b, c in enumerate(keep):
                     for a, x in span.reduce(cols.get(c, {})).items():
-                        Q[pos[a]][b] = x
+                        Q[pos[a]][b] = x / op.den
                 rows.append(Q)
             T[i][j] = OperatorPoly.from_rows(rows, op.op_parity).trim()
     space = GradedSpace(n,
@@ -528,9 +515,8 @@ def is_irreducible(m: ModuleRep):
     Returns (bool, certificate dict).
     """
     m.require_exact("irreducibility")
-    _require_grading(m)
-    sing = _singular_vectors(m)
-    span = _cyclic_span(m, {m.highest_index: ONE})
+    sing = singular_vectors(m)
+    span = cyclic_span(m, {m.highest_index: ONE})
     ok = sing.dim == 1 and span.dim == m.dim
     cert = {"singular_dim": sing.dim, "cyclic_dim": span.dim, "dim": m.dim}
     if sing.dim > 1:

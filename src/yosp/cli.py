@@ -181,14 +181,13 @@ def cmd_singular(args):
 
 def cmd_quotient(args):
     m = load_module(args.module)
-    an._require_grading(m)  # once, for the three unchecked steps below
-    sing = an._singular_vectors(m)
+    sing = an.singular_vectors(m)
     proper = [v for v in sing.basis if v.keys() - {m.highest_index}]
     if not proper:
         print("no proper singular vector; module already irreducible-like")
         return 1
-    span = an._cyclic_span(m, proper[0])
-    q = an._quotient_module(m, span)
+    span = an.cyclic_span(m, proper[0])
+    q = an.quotient_module(m, span)
     save_module(q, args.out)
     print(f"wrote quotient dim {q.dim} (by submodule dim {span.dim}) "
           f"to {args.out}")
@@ -215,17 +214,16 @@ def _demo_example_tpr():
     b = build_elementary(rat(-5, 2), rat(-3, 2))
     tp = tensor_modules(a, b)
     print(f"L(-1,0) (x) L(-5/2,-3/2): dim {tp.dim}")
-    an._require_grading(tp)  # once, for the unchecked steps below
-    sing = an._singular_vectors(tp)
+    sing = an.singular_vectors(tp)
     print(f"singular space dim {sing.dim}")
     zeta = next(v for v in sing.basis if v.keys() - {tp.highest_index})
     mu1 = an.tii_eigenvalue(tp, zeta, 1)
     mu2 = an.tii_eigenvalue(tp, zeta, 2)
     print(f"mu1(u) = {_fmt_ratfunc(mu1)}")
     print(f"mu2(u) = {_fmt_ratfunc(mu2)}")
-    span = an._cyclic_span(tp, zeta)
+    span = an.cyclic_span(tp, zeta)
     print(f"cyclic span of zeta: dim {span.dim}")
-    q = an._quotient_module(tp, span)
+    q = an.quotient_module(tp, span)
     ok, _ = an.is_irreducible(q)
     print(f"quotient: dim {q.dim}, irreducible: {ok}")
     return 0

@@ -100,9 +100,9 @@ def _kron_accumulate(out, A, B, op_parity_b, source_parity_a, scale=1):
 
 def _sparse_input(v, n: int) -> Dict[int, Scalar]:
     """A caller's {index: entry} vector as Scalars, its zero entries dropped;
-    ValueError when it is zero or has an index outside range(n)."""
-    if any(not 0 <= i < n for i in v):
-        raise ValueError(f"a vector index is outside range({n})")
+    ValueError when it is zero or has an index that is not an int in range(n)."""
+    if any(type(i) is not int or not 0 <= i < n for i in v):
+        raise ValueError(f"a vector index is not an int or lies outside range({n})")
     if not (out := {i: y for i, x in v.items() if (y := rat(x))}):
         raise ValueError("the vector is zero")
     return out
@@ -146,7 +146,9 @@ def highest_weight_of(m: ModuleRep) -> HighestWeight:
 
 def dual_module(m: ModuleRep) -> ModuleRep:
     """Dual via the anti-automorphism omega: t_ij(u) -> t_{i'j'}(-u+1/2) theta_i theta_j,
-    acting on the dual basis by transposed matrices."""
+    acting on the dual basis by transposed matrices.  omega reverses the
+    product T(u-kappa) T^t(u), so it maps the central series z(u) to
+    z(-u+1/2+kappa) = z(-1-u): the dual's c(u) is c(-1-u)."""
     m.require_exact("the dual")
     D = m.denom.degree
     sign = ONE if D % 2 == 0 else -ONE
@@ -169,6 +171,5 @@ def dual_module(m: ModuleRep) -> ModuleRep:
                 rows.append(Rt)
             T[i - 1][j - 1] = OperatorPoly.from_int_rows(rows, op.den, op.op_parity).trim()
     factors = [Factor(-f.beta, -f.alpha, None) for f in m.factors]
-    out = ModuleRep(m.space, denom, T, RatFunc.const(1), m.highest_index, factors)
-    out.c = central_from_hw(highest_weight_of(out))
-    return out
+    c = RatFunc(m.c.num.reflect(-ONE), m.c.den.reflect(-ONE))
+    return ModuleRep(m.space, denom, T, c, m.highest_index, factors)

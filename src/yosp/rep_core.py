@@ -98,19 +98,22 @@ class ModuleRep:
                        for m, cut in enumerate(cuts))]
 
     def grading_violations(self):
-        """Entries (i, j, a, b) of T_ij breaking the weight grading
-        w(a) - w(b) = w_i - w_j or the parity |a| + |b| = |i| + |j| (mod 2),
-        on weights scaled to integers by the lcm L of their denominators."""
+        """Entries (i, j, a, b) of T_ij breaking w(a) - w(b) = w_i - w_j or
+        |a| + |b| = |i| + |j| (mod 2): the key 2 L w(b) + |b| of b, for L the
+        lcm of the weight denominators, differs from the one row a expects."""
         bad = []
-        par = self.space.parity
         L = lcm(*(w.denominator for w in self.space.weight))
-        wt = [w.numerator * (L // w.denominator) for w in self.space.weight]
+        key = [2 * w.numerator * (L // w.denominator) + p
+               for w, p in zip(self.space.weight, self.space.parity)]
         for i in range(1, 4):
             for j in range(1, 4):
-                shift, odd = (W_SHIFT[i] - W_SHIFT[j]) * L, (bar(i) + bar(j)) % 2
-                bad.extend((i, j, a, b) for R in self.op(i, j).rows
-                           for a, row in enumerate(R) for b in row
-                           if wt[a] - wt[b] != shift or par[a] ^ par[b] != odd)
+                shift, odd = 2 * (W_SHIFT[i] - W_SHIFT[j]) * L, (bar(i) + bar(j)) % 2
+                want = [(k - shift) ^ odd for k in key]
+                for R in self.op(i, j).rows:
+                    for a, (row, w) in enumerate(zip(R, want)):
+                        for b in row:
+                            if key[b] != w:
+                                bad.append((i, j, a, b))
         return bad
 
 

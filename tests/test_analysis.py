@@ -392,18 +392,63 @@ def _count_grading_checks(monkeypatch):
     return calls
 
 
-def test_structure_entry_points_check_the_grading_once(monkeypatch, tmp_path):
-    """is_irreducible and `yosp quotient` run the grading check once, not
-    once per step."""
+def _count_analyses(monkeypatch):
+    """Counts the calls of the three public structure analyses, made through
+    the module attribute as is_irreducible and the CLI make them."""
+    calls = Counter()
+    for name in ("singular_vectors", "cyclic_span", "quotient_module"):
+        f = getattr(an, name)
+        monkeypatch.setattr(an, name, lambda *a, f=f, name=name:
+                            calls.update([name]) or f(*a))
+    return calls
+
+
+def test_structure_entry_points_compose_the_public_analyses(monkeypatch,
+                                                            tmp_path):
+    """is_irreducible is one singular_vectors and one cyclic_span, and `yosp
+    quotient` adds one quotient_module: each runs the grading check once, so
+    they make two and three checks."""
     tp = _example_tensor()
-    calls = _count_grading_checks(monkeypatch)
+    checks = _count_grading_checks(monkeypatch)
+    calls = _count_analyses(monkeypatch)
     an.is_irreducible(tp)
-    assert len(calls) == 1
+    assert calls == {"singular_vectors": 1, "cyclic_span": 1}
+    assert len(checks) == 2
     src, out = str(tmp_path / "t.json"), str(tmp_path / "q.json")
     save_module(tp, src)
-    del calls[:]
+    calls.clear()
+    del checks[:]
     assert main(["quotient", src, "--out", out]) == 0
-    assert len(calls) == 1
+    assert calls == {"singular_vectors": 1, "cyclic_span": 1,
+                     "quotient_module": 1}
+    assert len(checks) == 3
+
+
+def test_quotient_refuses_malformed_subspace_vectors():
+    """Each basis vector of the subspace is read like a cyclic_span start:
+    an index outside the module or not an int, and a zero vector, are
+    refused, and explicit zeros are dropped before the weight test."""
+    m = build_elementary(rat(-2), rat(0))
+    for v in ({-1: 1}, {99: 1}, {m.dim: 1}, {0: 0}, {}, {2.0: 1}, {True: 1}):
+        with pytest.raises(ValueError) as exc:
+            an.quotient_module(m, an.Subspace([v]))
+        assert not isinstance(exc.value, an.NotInvariant)
+    # zeta with an explicit 0 at the top vector, of another weight
+    tp = _example_tensor()
+    zeta = sparse(_zeta(tp))
+    padded = {**zeta, tp.highest_index: 0}
+    assert (an.module_digest(an.quotient_module(tp, an.Subspace([padded])))
+            == an.module_digest(an.quotient_module(tp, an.Subspace([zeta]))))
+
+
+def test_structure_vectors_with_an_index_that_is_not_an_int_are_refused():
+    """A float index and a bool index are refused, not read as an index."""
+    m = build_elementary(rat(-2), rat(0))
+    for v in ({2.0: 1}, {True: 1}, {0: 1, "1": 1}):
+        for call in (lambda: an.cyclic_span(m, v),
+                     lambda: an.tii_eigenvalue(m, v, 1)):
+            with pytest.raises(ValueError, match="not an int"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,38 @@ def test_central_from_hw_matches_stored_series():
     assert central_from_hw(highest_weight_of(m)) == m.c
 
 
+def _dual(m):
+    """dual_module(m), checked: its c(u), built as c(-1-u), is the series its
+    highest weight gives, and the central relation holds on it."""
+    d = dual_module(m)
+    assert d.c == central_from_hw(highest_weight_of(d))
+    assert an.verify_central(d)["result"] == "pass"
+    return d
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_elementary(-1, 0), lambda: build_elementary(-2, 0),
+    lambda: build_elementary(rat(-5, 2), rat(-3, 2)),
+    lambda: build_elementary(rat(1, 3), rat(7, 3)), vector_representation,
+    lambda: _l2_l1(), lambda: apply_twist(_l2_l1(), a=HALF),
+    lambda: tensor_modules(build_elementary(-1, 0),
+                           build_elementary(rat(-5, 2), rat(-3, 2))),
+    lambda: apply_twist(build_elementary(-1, 0), f=RatFunc.linear_ratio(2, 5)),
+], ids=["L(-1,0)", "L(-2,0)", "L(-5/2,-3/2)", "L(1/3,7/3)", "vector",
+        "L(-2,0)xL(-1,0)", "twist a=1/2", "L(-1,0)xL(-5/2,-3/2)",
+        "multiplier twist"])
+def test_dual_central_series_is_the_reflected_one(build):
+    """omega maps z(u) to z(-1-u): the dual's c(u) is c(-1-u), and also the
+    series central_from_hw reads off the dual's highest weight."""
+    m = build()
+    d = _dual(m)
+    assert d.c(rat(2, 7)) == m.c(-1 - rat(2, 7))
+    assert _dual(d).c == m.c
+
+
 def test_dual_hw_swaps_and_negates_parameters():
     m = build_elementary(rat(-1), rat(0))
-    d = dual_module(m)
+    d = _dual(m)
     assert d.dim == m.dim
     assert highest_weight_of(d) == elementary_hw(rat(0), rat(1))
 
@@ -157,7 +186,7 @@ def test_dual_hw_swaps_and_negates_parameters():
 def test_double_dual_restores_hw():
     m = tensor_modules(build_elementary(rat(-1), rat(0)),
                        build_elementary(rat(-2), rat(0)))
-    dd = dual_module(dual_module(m))
+    dd = _dual(_dual(m))
     assert highest_weight_of(dd) == highest_weight_of(m)
 
 
@@ -170,7 +199,7 @@ def test_dual_of_truncated_raises():
 def test_dual_of_tensor_factors():
     a = build_elementary(rat(-1), rat(0))
     b = build_elementary(rat(-5, 2), rat(-3, 2))
-    d = dual_module(tensor_modules(a, b))
+    d = _dual(tensor_modules(a, b))
     want = elementary_hw(rat(0), rat(1)).product(
         elementary_hw(rat(3, 2), rat(5, 2)))
     got = highest_weight_of(d)
@@ -320,7 +349,7 @@ def test_module_digests_are_pinned():
                                       build_elementary(-2, 0)),
                        build_elementary(-1, 0))
     got = {"M(-2/3,0)@16": build_small_verma(rat(-2, 3), 0, 16),
-           "L(-2,0)xL(-2,0)xL(-1,0)": t, "dual": dual_module(t),
+           "L(-2,0)xL(-2,0)xL(-1,0)": t, "dual": _dual(t),
            "twist a=1/2": apply_twist(t, a=HALF)}
     assert {k: an.module_digest(m) for k, m in got.items()} == GOLDEN_DIGESTS
 
@@ -333,7 +362,7 @@ def test_dual_is_the_signed_transpose_of_the_reflected_action():
     """T*_ij(u) = s theta_i theta_j P T_{i'j'}(1/2 - u)^t, where s = (-1)^{deg d}
     and P negates the odd rows when T_ij is odd, checked at sample points."""
     m = _l2_l1()
-    d = dual_module(m)
+    d = _dual(m)
     s = (-1) ** m.denom.degree
     for i in range(1, 4):
         for j in range(1, 4):
@@ -347,7 +376,7 @@ def test_dual_is_the_signed_transpose_of_the_reflected_action():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: dual_module(_l2_l1()),
+    lambda: _dual(_l2_l1()),
     lambda: apply_twist(_l2_l1(), a=rat(-3, 2)),
 ], ids=["dual", "shift-twist"])
 def test_verifiers_pass_on_derived_modules(build):
@@ -393,7 +422,7 @@ def test_tensor_dual_and_quotient_store_no_zero(a, b, i):
     vector generates, nor a zero in their files, which list entries in
     row-major order."""
     t = tensor_modules(a, b)
-    results = [t, dual_module(t), apply_twist(t, a=HALF)]
+    results = [t, _dual(t), apply_twist(t, a=HALF)]
     span = an.cyclic_span(t, sparse([ONE if k == i % t.dim else ZERO
                                      for k in range(t.dim)]))
     if span.dim < t.dim:
