@@ -79,11 +79,21 @@ def test_weights_and_parities():
 
 
 def _graded_modules():
-    """L(-3,0), M(-1/3,0)@6 and a two-factor tensor product."""
-    return [build_elementary(rat(-3), rat(0)),
-            build_small_verma(rat(-1, 3), rat(0), 6),
-            tensor_modules(build_elementary(rat(-1), rat(0)),
-                           build_elementary(rat(-5, 2), rat(-3, 2)))]
+    """One module of each kind yosp builds: the vector representation, exact
+    and half-integer elementary modules, a small Verma module, a tensor
+    product, its dual, both twists, a quotient and a module read back from
+    its file."""
+    tp = tensor_modules(build_elementary(rat(-1), rat(0)),
+                        build_elementary(rat(-5, 2), rat(-3, 2)))
+    zeta = {tp.space.labels.index(((1, 1), (0, 0))): ONE,
+            tp.space.labels.index(((0, 1), (0, 1))): rat(3),
+            tp.space.labels.index(((0, 0), (1, 1))): rat(-1)}
+    return [vector_representation(), build_elementary(rat(-3), rat(0)),
+            build_elementary(rat(-1, 2), rat(0), depth=6),
+            build_small_verma(rat(-1, 3), rat(0), 6), tp, dual_module(tp),
+            apply_twist(tp, a=HALF), apply_twist(tp, f=RatFunc.linear_ratio(1, 3)),
+            quotient_module(tp, Subspace([zeta])),
+            from_json_dict(json.loads(json.dumps(to_json_dict(tp))))]
 
 
 def _regraded(m, k, parity_flip=0, weight_shift=0):
@@ -95,8 +105,8 @@ def _regraded(m, k, parity_flip=0, weight_shift=0):
 
 
 def test_grading_holds_on_constructed_modules():
-    for m in [vector_representation()] + _graded_modules():
-        assert m.grading_violations() == []
+    for m in _graded_modules():
+        assert m.grading_violations() == _fraction_violations(m) == []
 
 
 def _fraction_violations(m):
@@ -109,58 +119,22 @@ def _fraction_violations(m):
             or par[a] ^ par[b] != (bar(i) + bar(j)) % 2]
 
 
-_CHANGES = [{"parity_flip": 1}, {"weight_shift": 1}, {"weight_shift": HALF},
-            {"weight_shift": rat(-1, 3)},
-            {"parity_flip": 1, "weight_shift": rat(5, 2)}]
-_CHANGE_IDS = ["parity", "weight", "half-weight", "third-weight", "both"]
-
-
-@pytest.mark.parametrize("change", _CHANGES, ids=_CHANGE_IDS)
+@pytest.mark.parametrize("change", [
+    {"parity_flip": 1}, {"weight_shift": 1}, {"weight_shift": HALF},
+    {"weight_shift": rat(-1, 3)}, {"parity_flip": 1, "weight_shift": rat(5, 2)},
+], ids=["parity", "weight", "half-weight", "third-weight", "both"])
 def test_grading_violations_flag_one_regraded_basis_vector(change):
-    """Each entry flagged touches the regraded vector; a flipped parity alone,
-    with every weight intact, is flagged too.  A weight moved by 1/2 changes
-    the lcm the integer check scales by; the list, in order, is the one a
-    Fraction comparison gives."""
+    """Each entry flagged touches the regraded vector, the first or the last
+    of each kind of module; a flipped parity alone, with every weight intact,
+    is flagged too.  A weight moved by 1/2 or 1/3 changes the lcm the integer
+    check scales by; the list, in order, is the one a Fraction comparison
+    gives."""
     for m in _graded_modules():
-        k = m.dim - 1
-        regraded = _regraded(m, k, **change)
-        bad = regraded.grading_violations()
-        assert bad and all(k in (a, b) for _, _, a, b in bad)
-        assert bad == _fraction_violations(regraded)
-
-
-def _module_kinds():
-    """One module of each kind yosp builds: the vector representation, exact
-    and truncated elementary modules, a small Verma module, a tensor product,
-    a dual, both twists, a quotient and a module read back from its file."""
-    tp = tensor_modules(build_elementary(rat(-1), rat(0)),
-                        build_elementary(rat(-5, 2), rat(-3, 2)))
-    zeta = {tp.space.labels.index(((1, 1), (0, 0))): ONE,
-            tp.space.labels.index(((0, 1), (0, 1))): rat(3),
-            tp.space.labels.index(((0, 0), (1, 1))): rat(-1)}
-    return {"vector": vector_representation(),
-            "elementary": build_elementary(rat(-2), rat(0)),
-            "half-elementary": build_elementary(rat(-1, 2), rat(0), depth=6),
-            "small-verma": build_small_verma(rat(2, 7), rat(0), 5),
-            "tensor": tp, "dual": dual_module(tp),
-            "shift-twist": apply_twist(tp, a=HALF),
-            "multiplier-twist": apply_twist(
-                tp, f=RatFunc(UniPoly([rat(1), ONE]), UniPoly([rat(3), ONE]))),
-            "quotient": quotient_module(tp, Subspace([zeta])),
-            "file": from_json_dict(json.loads(json.dumps(to_json_dict(tp))))}
-
-
-def test_grading_violations_match_the_fraction_oracle_on_every_kind():
-    """On each kind of module, intact and with its first or last basis
-    vector regraded in each way, the integer check lists the entries the
-    Fraction comparison lists, in the same order."""
-    for name, m in _module_kinds().items():
-        assert m.grading_violations() == _fraction_violations(m) == [], name
         for k in (0, m.dim - 1):
-            for change in _CHANGES:
-                regraded = _regraded(m, k, **change)
-                bad = regraded.grading_violations()
-                assert bad and bad == _fraction_violations(regraded), (name, k)
+            regraded = _regraded(m, k, **change)
+            bad = regraded.grading_violations()
+            assert bad and all(k in (a, b) for _, _, a, b in bad)
+            assert bad == _fraction_violations(regraded)
 
 
 def test_reconstruction_refuses_a_broken_parity():
