@@ -7,8 +7,9 @@ Dense matrices (lists of rows) remain only where perfbench pins them by
 name or type, until the benchmark refresh (ROADMAP E0): zeros, mat_sub,
 mat_scale and mat_mul, which the Gauss check computes with, and mat_add (all
 in WRAPPED; mat_mul in matmul36_ms); the dense I/O of inverse, and
-sparse_vec; OperatorPoly's dense constructor, coeffs, coeff(k) and eval
-(_flipped_copy, digest, _tensor_probe, muladd_ns)."""
+sparse_vec; OperatorPoly's dense constructor, coeffs and coeff(k)
+(_flipped_copy, digest, _tensor_probe), and eval, the dense view of the
+sparse integer eval_int (opoly_eval, muladd_ns, matmul36_ms)."""
 
 from __future__ import annotations
 

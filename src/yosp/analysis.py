@@ -15,7 +15,6 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
@@ -88,13 +87,13 @@ def module_digest(m: ModuleRep) -> str:
 # Relation verifiers
 #
 # Both verifiers compare sparse integer matrices.  A point x = a/q is
-# evaluated once as q^E L T_ij(x) (E bounds every deg T_ij, L is the lcm of
-# their coefficient denominators); R(w) is cleared the same way.  Each side
-# of either relation is bilinear in the evaluations of T and linear in R, so
-# these nonzero factors scale both sides alike.  Only the checked columns of
-# a product are formed.  The sample points are plain progressions that skip
-# no point: the cleared sides are polynomials, so distinct points beyond the
-# degree bound certify, roots of d(u) included.
+# evaluated once as q^E L T_ij(x) by OperatorPoly.eval_int (E bounds every
+# deg T_ij, L is the lcm of their dens); R(w) is cleared the same way.  Each
+# side of either relation is bilinear in the evaluations of T and linear in
+# R, so these nonzero factors scale both sides alike.  Only the checked
+# columns of a product are formed.  The sample points are plain progressions
+# that skip no point: the cleared sides are polynomials, so distinct points
+# beyond the degree bound certify, roots of d(u) included.
 # ---------------------------------------------------------------------------
 
 # A truncated module is exact only away from its cut: the relation verifiers
@@ -114,49 +113,20 @@ def _checked_cols(m: ModuleRep, margin: int):
     return cols
 
 
-def _int_rows(coeffs, E, scale=1):
-    """scale sum_k coeffs[k] u^k for integer sparse-row coefficients, as
-    sparse rows: per row, (column, integer coefficients ascending, padded to
-    degree E) for each nonzero entry."""
-    out = []
-    for r in range(len(coeffs[0])):
-        ints = {}
-        for k, R in enumerate(coeffs):
-            for c, x in R[r].items():
-                ints.setdefault(c, [0] * (E + 1))[k] = x * scale
-        out.append(list(ints.items()))
-    return out
+_RC = OperatorPoly.from_rows(build_P_Q_R()[2], 0)  # the cleared R, degree 2
 
 
-_RC = _int_rows(OperatorPoly.from_rows(build_P_Q_R()[2], 0).rows, 2)  # cleared R
-
-
-def _eval_rows(rows, E, x):
-    """q^E times the _int_rows polynomial at x = a/q, as sparse rows of
-    (column, integer value)."""
-    a, q = x.numerator, x.denominator
-    pw = [a ** k * q ** (E - k) for k in range(E + 1)]
-    out = []
-    for entries in rows:
-        row = []
-        for c, ints in entries:
-            v = sum(map(mul, ints, pw))
-            if v:
-                row.append((c, v))
-        out.append(row)
-    return out
-
-
-def _int_module(m: ModuleRep):
-    """(E, L, ops): E bounds the degree of every T_ij, L is the lcm of their
-    denominators, and ops[i][j] is _int_rows of L T_ij."""
+def _int_scale(m: ModuleRep):
+    """(E, L): E bounds the degree of every T_ij, L is the lcm of their dens."""
     E = max(len(op.rows) for row in m.T for op in row) - 1
-    L = lcm(*(op.den for row in m.T for op in row))
-    return E, L, [[_int_rows(op.rows, E, L // op.den) for op in row] for row in m.T]
+    return E, lcm(*(op.den for row in m.T for op in row))
 
 
-def _eval_T(ops, E, x):
-    return [[_eval_rows(rows, E, x) for rows in row] for row in ops]
+def _eval_T(m: ModuleRep, E, L, x):
+    """q^E L T_ij(x) for x = a/q, each row a list of (column, value) items,
+    which _prod walks faster than dicts."""
+    return [[[list(r.items()) for r in op.eval_int(x, E, L // op.den)]
+             for op in row] for row in m.T]
 
 
 def _cut(T, colpos):
@@ -218,7 +188,7 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     cols = _checked_cols(m, RELATION_MARGIN)
     colpos = {c: k for k, c in enumerate(cols)}
     width = len(cols)
-    E, _, ops = _int_module(m)
+    E, L = _int_scale(m)
     # Block (e, f) = ((A,B), (C,D)) of T_1(u) T_2(v), resp. T_2(v) T_1(u),
     # carries the Koszul sign -1 when |A|+|C| and |B|, resp. |D|, are odd.
     idx = [(e // 3 + 1, e % 3 + 1) for e in range(9)]
@@ -226,7 +196,7 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
            for C, _ in idx] for A, B in idx]
     sy = [[-1 if (bar(A) + bar(C)) % 2 and bar(Dd) else 1
            for C, Dd in idx] for A, _ in idx]
-    at = [(T, _cut(T, colpos)) for T in (_eval_T(ops, E, s) for s in S)]
+    at = [(T, _cut(T, colpos)) for T in (_eval_T(m, E, L, s) for s in S)]
     for i, (u0, (Tu, Tu_cut)) in enumerate(zip(S, at)):
         for v0, (Tv, Tv_cut) in zip(S[i + 1:], at[i + 1:]):
             X, Y = [None] * 81, [None] * 81
@@ -236,16 +206,14 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
                                          width)
                     Y[9 * e + f] = _prod(Tv[B - 1][Dd - 1], Tu_cut[A - 1][C - 1],
                                          width)
-            R = _eval_rows(_RC, 2, u0 - v0)
-            R_cols = [[] for _ in range(9)]
-            for p, row in enumerate(R):
-                for e, c in row:
-                    R_cols[e].append((p, c))
+            R = _RC.eval_int(u0 - v0, 2)
+            R_cols = columns(R)
             for p in range(9):
                 for f in range(9):
                     diff = _combine(
-                        [(c * sx[e][f], X[9 * e + f]) for e, c in R[p]]
-                        + [(-c * sy[p][e], Y[9 * p + e]) for e, c in R_cols[f]])
+                        [(c * sx[e][f], X[9 * e + f]) for e, c in R[p].items()]
+                        + [(-c * sy[p][e], Y[9 * p + e])
+                           for e, c in R_cols.get(f, {}).items()])
                     if diff:  # the first differing entry, row-major
                         t, s = divmod(min(diff), width)
                         raise RelationViolation(
@@ -283,14 +251,14 @@ def verify_central(m: ModuleRep, seed: int = 0) -> dict:
     cols = _checked_cols(m, RELATION_MARGIN)
     colpos = {c: k for k, c in enumerate(cols)}
     width = len(cols)
-    E, L, ops = _int_module(m)
+    E, L = _int_scale(m)
     # (T^t)_kj = st_sign(k, j) T_{j'k'}, 1-based.
     st = [[st_sign(k, j) for j in range(1, 4)] for k in range(1, 4)]
     samples = []
     for u0 in us:
         x = u0 - KAPPA
-        Tx = _eval_T(ops, E, x)
-        Tu_cut = _cut(_eval_T(ops, E, u0), colpos)
+        Tx = _eval_T(m, E, L, x)
+        Tu_cut = _cut(_eval_T(m, E, L, u0), colpos)
         want = (target.num(u0)
                 * L * x.denominator ** E * L * u0.denominator ** E)
         if want.denominator == 1:
@@ -352,7 +320,8 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
     h_1(u0) h_3(u0+1/2) = h_2(u0) h_2(u0+1/2), and
     c(u0) = h_1(u0) h_1(u0+1)^{-1} h_2(u0+1) h_2(u0+3/2).
     The relations hold only on an exact module: TruncatedInput otherwise.
-    RelationViolation when m breaks its grading.
+    RelationViolation, with the failed relations as witness, when one fails
+    (at a pole of c(u) the last one does) or m breaks its grading.
     """
     _require_grading(m)
     m.require_exact("the Gauss check")
@@ -369,7 +338,7 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
                       == mat_mul(g0["h2"], g_half["h2"]))
     cu = mat_mul(mat_mul(g0["h1"], inverse(g1["h1"])),
                  mat_mul(g1["h2"], g32["h2"]))
-    c = m.c(u0)
+    c = m.c(u0) if m.c.den(u0) else None  # a pole of c: the finite cu fails
     checks["cu"] = cu == [[c if a == b else ZERO for b in range(n)] for a in range(n)]
     if not all(checks.values()):
         failed = [k for k, v in checks.items() if not v]

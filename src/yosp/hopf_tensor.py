@@ -100,9 +100,13 @@ def _kron_accumulate(out, A, B, op_parity_b, source_parity_a, scale=1):
 
 def _sparse_input(v, n: int) -> Dict[int, Scalar]:
     """A caller's {index: entry} vector as Scalars, its zero entries dropped;
-    ValueError when it is zero or has an index that is not an int in range(n)."""
+    ValueError when it is zero, has an index that is not an int in range(n),
+    or has a float or bool entry (a float is read as its binary value)."""
     if any(type(i) is not int or not 0 <= i < n for i in v):
         raise ValueError(f"a vector index is not an int or lies outside range({n})")
+    if any(isinstance(x, (float, bool)) for x in v.values()):
+        raise ValueError("a vector entry is a float or bool; give an int, "
+                         "a Fraction or a 'p/q' string")
     if not (out := {i: y for i, x in v.items() if (y := rat(x))}):
         raise ValueError("the vector is zero")
     return out

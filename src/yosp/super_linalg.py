@@ -118,7 +118,7 @@ class OperatorPoly:
     (ascending powers) as integer sparse rows, {column: int} dicts that
     never store a zero, over the least such den >= 1, so that equal
     operators store equal rows.  Fractions cross only the boundary: in
-    through from_rows, out through sparse_coeff(k) and its dense views.
+    through from_rows, out through sparse_coeff(k) and the dense views.
     """
 
     __slots__ = ("rows", "den", "op_parity")
@@ -156,11 +156,9 @@ class OperatorPoly:
         return len(self.rows[0])
 
     def sparse_coeff(self, k: int):
-        """The u^k coefficient as sparse rows of Fractions: the one view out."""
-        if k >= len(self.rows):
-            return [{} for _ in range(self.dim)]
-        d = self.den
-        return [{c: Scalar(x, d) for c, x in row.items()} for row in self.rows[k]]
+        """The u^k coefficient as sparse rows of Fractions."""
+        rows = self.rows[k] if k < len(self.rows) else [{}] * self.dim
+        return [{c: Scalar(x, self.den) for c, x in row.items()} for row in rows]
 
     @property
     def coeffs(self):
@@ -169,16 +167,34 @@ class OperatorPoly:
 
     def coeff(self, k: int):
         """The u^k coefficient as a dense matrix."""
+        return self._dense(self.rows[k] if k < len(self.rows) else [], self.den)
+
+    def _dense(self, rows, d: int):
+        """Integer sparse rows over d as a dense matrix of Fractions."""
         out = zeros(self.dim)
-        for o, row in zip(out, self.sparse_coeff(k)):
+        for o, row in zip(out, rows):
             for b, x in row.items():
-                o[b] = x
+                o[b] = Scalar(x, d)
+        return out
+
+    def eval_int(self, x, E: int, scale: int = 1):
+        """scale q^E den T(x) for x = a/q and E >= the degree, as integer
+        sparse rows with no zero stored: each coefficient's rows summed with
+        weight scale a^k q^(E-k), the one evaluation of an operator."""
+        a, q = x.numerator, x.denominator
+        out = [{} for _ in range(self.dim)]
+        for k, R in enumerate(self.rows):
+            c = scale * a ** k * q ** (E - k)
+            if c:
+                for o, row in zip(out, R):
+                    if row:
+                        add_multiple(o, c, row)
         return out
 
     def eval(self, u0):
-        """The dense matrix sum_k coeff(k) u0^k."""
-        terms = [(self, [(k, 0, rat(u0) ** k) for k in range(len(self.rows))])]
-        return self._combine(1, terms).coeff(0)
+        """The dense matrix sum_k coeff(k) u0^k: eval_int over den q^E."""
+        u0, E = rat(u0), len(self.rows) - 1
+        return self._dense(self.eval_int(u0, E), self.den * u0.denominator ** E)
 
     def _combine(self, n: int, terms):
         """The n coefficients out[k] = sum of c * op.rows[m] / op.den over the

@@ -265,6 +265,36 @@ def test_structure_vectors_with_an_index_outside_the_module_are_refused():
             an.tii_eigenvalue(m, v, 1)
 
 
+def test_structure_vectors_with_a_float_or_bool_entry_are_refused():
+    """A float entry would be read as its binary value (0.1 is not 1/10)
+    and a bool as 0 or 1: cyclic_span, tii_eigenvalue and quotient_module
+    refuse both, while the same line written as "p/q" strings is accepted."""
+    m = build_elementary(rat(-2), rat(0))
+    for v in ({0: 0.1}, {0: 1.0}, {0: True}, {0: 1, 3: False}):
+        with pytest.raises(ValueError, match="float or bool"):
+            an.cyclic_span(m, v)
+        with pytest.raises(ValueError, match="float or bool"):
+            an.tii_eigenvalue(m, v, 1)
+        with pytest.raises(ValueError, match="float or bool"):
+            an.quotient_module(m, an.Subspace([v]))
+    tp = _example_tensor()
+    tenth = {i: x / 10 for i, x in sparse(_zeta(tp)).items()}
+    assert an.quotient_module(
+        tp, an.Subspace([{i: str(x) for i, x in tenth.items()}])).dim == 8
+    with pytest.raises(ValueError, match="float or bool"):
+        an.quotient_module(tp, an.Subspace([{i: float(x) for i, x in tenth.items()}]))
+
+
+def test_gauss_check_fails_at_a_pole_of_c():
+    """c(u) = 1/(u-7) has a pole at 7, where the generator product is
+    finite: the last relation fails there, with a witness, not a PoleError."""
+    m = dataclasses.replace(build_elementary(rat(-2), rat(0)),
+                            c=RatFunc(UniPoly([ONE]), UniPoly([rat(-7), ONE])))
+    with pytest.raises(an.RelationViolation) as exc:
+        an.gauss_diagonal_check(m, 7)
+    assert exc.value.witness == (rat(7), ["cu"])
+
+
 def test_cyclic_span_of_zeta_is_a_line():
     tp = _example_tensor()
     assert an.cyclic_span(tp, sparse(_zeta(tp))).dim == 1

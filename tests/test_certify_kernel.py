@@ -1,7 +1,8 @@
 """Differential tests: the integer RTT/central kernel against an oracle.
 
 The oracle is the direct formula over exact rationals: every T_ij evaluated
-with OperatorPoly.eval, full products over all columns (sparse rows of the
+by its own dense sum of coeff(k) x^k (OperatorPoly.eval runs the kernel's
+integer evaluator), full products over all columns (sparse rows of the
 evaluated matrices for RTT, dense mat_mul for the central relation), the
 R-matrix from rc_eval, and the comparison made on the same checked columns.
 It shares only the sample points with yosp.analysis: plain progressions that
@@ -29,6 +30,14 @@ from yosp.super_linalg import OperatorPoly, bar, build_P_Q_R, iprime, theta
 from dense import dense_rows
 from rmatrix import rc_eval
 from test_cyclic_span import _pairs, _tensor
+
+
+def _at(op, x):
+    """op(x) = sum_k coeff(k) x^k, summed densely here."""
+    out = zeros(op.dim)
+    for k, C in enumerate(op.coeffs):
+        out = mat_add(out, mat_scale(C, x ** k))
+    return out
 
 
 def _rows(M):
@@ -59,7 +68,7 @@ def oracle_rtt(m, seed=0, margin=4):
     cols = an._checked_cols(m, margin)
     Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
     n = m.dim
-    at = {x: [[_rows(m.op(i, j).eval(x)) for j in range(1, 4)]
+    at = {x: [[_rows(_at(m.op(i, j), x)) for j in range(1, 4)]
               for i in range(1, 4)] for x in us}
     samples = []
     for u0 in us:
@@ -113,10 +122,10 @@ def oracle_central(m, seed=0, margin=4):
     samples = []
     for u0 in us:
         scalar = scalar_of(u0)
-        Mu = [[m.op(i, j).eval(u0 - KAPPA) for j in range(1, 4)]
+        Mu = [[_at(m.op(i, j), u0 - KAPPA) for j in range(1, 4)]
               for i in range(1, 4)]
         # (T^t)_kj = theta_k theta_j (-1)^{|k||j|+|j|} T_{j'k'}
-        Mt = [[mat_scale(m.op(iprime(j), iprime(k)).eval(u0),
+        Mt = [[mat_scale(_at(m.op(iprime(j), iprime(k)), u0),
                          theta(k) * theta(j) * (-1) ** (bar(k) * bar(j) + bar(j)))
                for j in range(1, 4)] for k in range(1, 4)]
         for i in range(3):

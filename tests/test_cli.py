@@ -361,6 +361,13 @@ def _non_polynomial_c(d):
     return d
 
 
+def _pole_at_7(d):
+    """c(u) = 1/(u-7): a pole at the Gauss check's default point, where the
+    generator product is finite."""
+    d["c"] = {"num": ["1"], "den": ["-7", "1"]}
+    return d
+
+
 def _zero_top_weight(d):
     h = d["highest_index"]
     d["T"]["11"][1] = [t for t in d["T"]["11"][1] if t[:2] != [h, h]]
@@ -382,6 +389,7 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
     (L2, ["verify", "central", MOD], _non_polynomial_c, "not a polynomial"),
     (L2, ["verify", "gauss", MOD], _flip_sign, "Gauss relations fail"),
     (L2, ["verify", "gauss", MOD, "--at", "0"], None, "d(0) = 0"),
+    (L2, ["verify", "gauss", MOD], _pole_at_7, "Gauss relations fail"),
     (L2, ["osp", MOD], _zero_top_weight, "F_11 entry"),
     (L2, ["verify", "rtt", MOD], _flip_last_parity, "grading fails"),
     (L2, ["verify", "central", MOD], _flip_last_parity, "grading fails"),
@@ -393,7 +401,7 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
         "drinfeld-not-dominant", "rtt-relation-violation",
         "central-relation-violation", "central-non-polynomial-target",
         "gauss-relation-violation",
-        "gauss-singular-matrix", "osp-weight-mismatch",
+        "gauss-singular-matrix", "gauss-pole-of-c", "osp-weight-mismatch",
         "rtt-broken-grading", "central-broken-grading",
         "gauss-broken-grading", "irreducible-broken-grading",
         "singular-broken-grading", "quotient-broken-grading"])

@@ -1,5 +1,6 @@
 """Tests for the graded linear algebra and R-matrix layer."""
 
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
@@ -327,3 +328,31 @@ def test_dense_view_round_trips(dim_ops):
     B = OperatorPoly.from_rows([sparse_rows(M) for M in A.coeffs], A.op_parity)
     assert (B.rows, B.den, B.op_parity) == (A.rows, A.den, A.op_parity)
     assert B.coeffs == A.coeffs
+
+
+# ---------------------------------------------------------------------------
+# The one evaluation: eval_int's integer rows against the Fraction sum, and
+# eval as their dense view.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_ops(count=1), st.integers(-9, 9), st.integers(1, 6),
+       st.integers(0, 2), st.integers(-5, 5))
+def test_eval_int_is_the_scaled_fraction_sum(dim_ops, a, q, extra, scale):
+    """eval_int(a/q, E, scale) = scale q^E den sum_k sparse_coeff(k) x^k for
+    every E from the degree up, stores no zero, and eval(x) is its dense
+    form over den q^E (E = the degree)."""
+    dim, (A,) = dim_ops
+    x, E = Fraction(a, q), len(A.rows) - 1 + extra
+    want = [{} for _ in range(dim)]
+    for k in range(len(A.rows)):
+        for w, row in zip(want, A.sparse_coeff(k)):
+            for c, y in row.items():
+                w[c] = w.get(c, 0) + y * x ** k
+    factor = scale * x.denominator ** E * A.den
+    got = A.eval_int(rat(a, q), E, scale)
+    assert all(type(v) is int and v for row in got for v in row.values())
+    assert got == [{c: v * factor for c, v in w.items() if v * factor}
+                   for w in want]
+    assert A.eval(rat(a, q)) == [[w.get(c, 0) for c in range(dim)]
+                                 for w in want]
