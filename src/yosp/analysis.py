@@ -25,8 +25,7 @@ from ._linalg import (SingularMatrix, Span, add_multiple, columns, integral,
 from .super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R, iprime,
                            st_sign)
 from .rep_core import W_SHIFT, ModuleRep, TruncatedInput, to_json_dict
-from .hopf_tensor import (HighestWeight, _eigen_coeffs, _sparse_input,
-                          tii_eigenvalue)  # re-export
+from .hopf_tensor import HighestWeight, _sparse_input, tii_eigenvalue  # re-export
 
 
 class RelationViolation(ArithmeticError):
@@ -353,8 +352,7 @@ def gauss_diagonal_check(m: ModuleRep, u0) -> dict:
 # ---------------------------------------------------------------------------
 
 # T_ij acts by its integer rows (den times each coefficient): kernels and spans agree.
-_RAISING, _LOWERING = ((1, 2), (1, 3), (2, 3)), ((2, 1), (3, 1), (3, 2))
-_ALL = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+_RAISING = ((1, 2), (1, 3), (2, 3))
 
 
 def _restrict(cols, idxs):
@@ -381,57 +379,44 @@ def singular_vectors(m: ModuleRep) -> Subspace:
     return Subspace(basis)
 
 
-def _is_highest_vector(m: ModuleRep, x: Dict[int, int]) -> bool:
-    """True when m is exact and the integer vector x is singular and a
-    t_ii(u) eigenvector for i = 1, 2, 3."""
-    if m.truncated or any(mat_vec(columns(R), x) for p in _RAISING
-                          for R in m.op(*p).rows):
-        return False
-    try:
-        for i in range(1, 4):
-            _eigen_coeffs(m.op(i, i), x, i)
-    except ValueError:
-        return False
-    return True
-
-
 def cyclic_span(m: ModuleRep, v: Dict[int, Scalar]) -> Subspace:
     """Closure of span{v} under all coefficient matrices of all nine T_ij,
     with its reduced echelon basis; v is a sparse {basis index: entry} dict.
     ValueError when v is zero or has an index outside the module.
 
-    When m is exact and v is a highest vector (singular and a t_ii(u)
-    eigenvector for i = 1, 2, 3), only T_21, T_31 and T_32 are applied: if m
-    satisfies RTT, the triangular decomposition X = X^- X^0 X^+ of the
-    Yangian (Molev, Yangians and Classical Lie Algebras, AMS 2007) gives
-    X v = X^- v, as X^+ and X^0 map v to multiples of v.  The spin runs in
-    integers (no scaling changes a span or its reduced echelon basis) and,
-    for a weight-homogeneous v, skips a product into weight mu = wt(x) +
-    w_i - w_j once the span holds dim V_mu vectors of weight mu (or m has no
-    weight mu).  Every entry point runs the grading check first, so each
-    coefficient of T_ij maps V_mu into V_{mu+w_i-w_j} and each frontier
-    vector is homogeneous.  Once the span holds dim V_mu independent vectors
-    of weight mu it contains V_mu, so no product landing there can enlarge it."""
+    The spin runs in integers (no scaling changes a span or its reduced
+    echelon basis) and, for a weight-homogeneous v, skips a product into
+    weight mu = wt(x) + w_i - w_j once the span holds dim V_mu vectors of
+    weight mu (or m has no weight mu).  Every entry point runs the grading
+    check first, so each coefficient of T_ij maps V_mu into V_{mu+w_i-w_j}
+    and each frontier vector is homogeneous.  Once the span holds dim V_mu
+    independent vectors of weight mu it contains V_mu, so no product landing
+    there can enlarge it."""
     _require_grading(m)
     x = primitive(integral(_sparse_input(v, m.dim))[0])
     span = Span()
     span.add(x)
-    mats = [(W_SHIFT[i] - W_SHIFT[j], columns(R)) for i, j in
-            (_LOWERING if _is_highest_vector(m, x) else _ALL) for R in m.op(i, j).rows]
-    # room[k]: how many more vectors of weight wt(v) + k the span can take; a
-    # v of mixed weight gets room that runs out only once the span is full.
+    mats = [(W_SHIFT[i] - W_SHIFT[j], R) for i in range(1, 4)
+            for j in range(1, 4) for R in m.op(i, j).rows]
+    cols = {}  # t: the columns of mats[t], transposed when first applied
+    # room[k]: how many more vectors of weight wt(v) + k the span can take,
+    # for each integer k (the shifts w_i - w_j are integers); a v of mixed
+    # weight gets room that runs out only once the span is full.
     wt = m.space.weight
-    room = (Counter(w - wt[min(x)] for w in wt) if len({wt[c] for c in x}) == 1
-            else defaultdict(lambda: m.dim))
+    room = (Counter(int(d) for w in wt if (d := w - wt[min(x)]).denominator == 1)
+            if len({wt[c] for c in x}) == 1 else defaultdict(lambda: m.dim))
     room[0] -= 1
     frontier = [(0, x)]
     while frontier:
         nxt = []
         for k, x in frontier:
-            for s, C in mats:
-                if room[k + s] and span.add(y := mat_vec(C, x)):
-                    nxt.append((k + s, primitive(y)))
-                    room[k + s] -= 1
+            for t, (s, R) in enumerate(mats):
+                if room[k + s]:
+                    if t not in cols:
+                        cols[t] = columns(R)
+                    if span.add(y := mat_vec(cols[t], x)):
+                        nxt.append((k + s, primitive(y)))
+                        room[k + s] -= 1
         frontier = nxt
     return Subspace(span.basis())
 

@@ -112,25 +112,20 @@ def _sparse_input(v, n: int) -> Dict[int, Scalar]:
     return out
 
 
-def _eigen_coeffs(op, x, i: int):
-    """The c_k with R_k x = c_k x for op's integer rows R_k and a nonzero
-    integer x, by cross-multiplication at x's first index; else ValueError."""
+def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
+    """The eigenvalue of t_ii(u) on a common eigenvector v, a sparse
+    {basis index: entry} dict, as a RatFunc; ValueError when v is zero, has
+    an index outside m, or is not an eigenvector of each coefficient of T_ii
+    (tested by cross-multiplication on v's integer multiple)."""
+    op = m.op(i, i)  # den times each coefficient: the test is scale-free
+    x = integral(_sparse_input(v, m.dim))[0]
     p, cs = min(x), []
     for w in (mat_vec(columns(R), x) for R in op.rows):
         a, b = w.get(p, 0), x[p]
         if any(w.get(c, 0) * b != x.get(c, 0) * a for c in w.keys() | x.keys()):
             raise ValueError(f"vector is not a t_{i}{i}(u) eigenvector")
-        cs.append(Scalar(a, b))
-    return cs
-
-
-def tii_eigenvalue(m: ModuleRep, v: Dict[int, Scalar], i: int) -> RatFunc:
-    """The eigenvalue of t_ii(u) on a common eigenvector v, a sparse
-    {basis index: entry} dict, as a RatFunc; ValueError when v is zero, has
-    an index outside m, or is not an eigenvector of each coefficient of T_ii."""
-    op = m.op(i, i)  # den times each coefficient: the test is scale-free
-    cs = _eigen_coeffs(op, integral(_sparse_input(v, m.dim))[0], i)
-    return RatFunc(UniPoly([c / op.den for c in cs]), m.denom)
+        cs.append(Scalar(a, b * op.den))
+    return RatFunc(UniPoly(cs), m.denom)
 
 
 def highest_weight_of(m: ModuleRep) -> HighestWeight:

@@ -3,12 +3,15 @@ irreducibility criterion as a property of is_irreducible."""
 
 from functools import reduce
 
+import dataclasses
+
 import pytest
 from hypothesis import (Phase, assume, example, given, settings,
                         strategies as st)
 
-from yosp.exact_arith import ONE, UniPoly, rat
-from yosp._linalg import Span, columns, integral, mat_vec, primitive
+from yosp.exact_arith import ONE, RatFunc, UniPoly, rat
+from yosp._linalg import Span, columns, mat_vec
+from yosp.super_linalg import OperatorPoly
 from yosp.rep_core import build_elementary, build_small_verma
 from yosp.hopf_tensor import highest_weight_of, tensor_modules
 from yosp import analysis as an
@@ -31,11 +34,6 @@ def fraction_spin(m, v):
                     nxt.append(y)
         frontier = nxt
     return span.basis()
-
-
-def _is_highest(m, v):
-    """_is_highest_vector on v's primitive integer multiple."""
-    return an._is_highest_vector(m, primitive(integral(v)[0]))
 
 
 def _tensor(pairs):
@@ -68,73 +66,78 @@ _REDUCIBLE = [[(rat(-1), rat(0)), (rat(-5, 2), rat(-3, 2))],
 @example(_REDUCIBLE[1])
 @example(_REDUCIBLE[2])
 def test_highest_vector_span_matches_the_fraction_spin(pairs):
-    """The highest vector of a product takes the lowering-only spin, and its
-    span has the oracle's basis, reducible products included."""
+    """The span of the highest vector of a product has the oracle's basis,
+    reducible products included."""
     m = _tensor(pairs)
     v = {m.highest_index: ONE}
-    assert _is_highest(m, v)
     assert an.cyclic_span(m, v).basis == fraction_spin(m, v)
 
 
 def _other_cases():
-    """(m, v, whether v takes the lowering-only spin).  A proper singular
-    vector takes it.  A singular vector that is not a t_ii eigenvector, a
-    vector that is neither (both of mixed weight), the lowest vector (an
-    eigenvector, not singular) and any vector of a truncated module take
-    the all-operator spin."""
+    """(m, v): a proper singular vector, a singular vector that is not a
+    t_ii eigenvector, a vector that is neither (both of mixed weight), the
+    lowest vector (an eigenvector, not singular), and two vectors of a
+    truncated module."""
     tp = _tensor(_REDUCIBLE[0])  # zeta: its proper singular vector
     zeta = next(b for b in an.singular_vectors(tp).basis
                 if b.keys() - {tp.highest_index})
     L2 = build_elementary(-2, 0)
     M = build_small_verma(-2, 0, 8)
     xi = M.space.labels.index(((0, 3),))
-    return [(tp, zeta, True),
-            (tp, {**zeta, tp.highest_index: ONE}, False),
-            (L2, {0: ONE, 1: rat(2, 3)}, False),
-            (L2, {L2.dim - 1: ONE}, False),
-            (M, {M.highest_index: ONE}, False),
-            (M, {xi: rat(5, 7)}, False)]
+    return [(tp, zeta),
+            (tp, {**zeta, tp.highest_index: ONE}),
+            (L2, {0: ONE, 1: rat(2, 3)}),
+            (L2, {L2.dim - 1: ONE}),
+            (M, {M.highest_index: ONE}),
+            (M, {xi: rat(5, 7)})]
 
 
 def test_other_vectors_match_the_fraction_spin():
-    """Each case takes the spin it should; the weight-homogeneous starts
-    spin with the room rule and the two of mixed weight without it.  All
-    match the oracle."""
+    """The weight-homogeneous starts spin with the room rule and the two of
+    mixed weight without it.  All match the oracle."""
     cases = _other_cases()
-    weights = [len({m.space.weight[c] for c in v}) for m, v, _ in cases]
+    weights = [len({m.space.weight[c] for c in v}) for m, v in cases]
     assert weights == [1, 2, 2, 1, 1, 1]
-    for m, v, lowering in cases:
-        assert _is_highest(m, v) == lowering
+    for m, v in cases:
         assert an.cyclic_span(m, v).basis == fraction_spin(m, v)
 
 
-def test_the_eigenvector_routines_agree():
-    """_is_highest_vector holds exactly when m is exact, v is singular and
-    tii_eigenvalue succeeds for i = 1, 2, 3; the cases cover all four
-    combinations of singular and eigenvector."""
+def _fraction_eigenvalue(m, v, i):
+    """The oracle: t_ii(u)'s eigenvalue on v from each coefficient applied
+    in Fractions, or None when some coefficient does not map v to a multiple
+    of v."""
+    op, p, cs = m.op(i, i), min(v), []
+    for k in range(len(op.rows)):
+        w = mat_vec(columns(op.sparse_coeff(k)), v)
+        c = w.get(p, 0) / v[p]
+        if w != {a: c * x for a, x in v.items() if c}:
+            return None
+        cs.append(c)
+    return RatFunc(UniPoly(cs), m.denom)
+
+
+def test_tii_eigenvalue_matches_the_fraction_check():
+    """tii_eigenvalue gives the oracle's eigenvalue where v is an eigenvector
+    and ValueError where it is not; the cases have both outcomes."""
     seen = set()
-    for m, v, _ in _other_cases():
-        singular = not any(mat_vec(columns(m.op(i, j).sparse_coeff(k)), v)
-                           for i, j in ((1, 2), (1, 3), (2, 3))
-                           for k in range(len(m.op(i, j).rows)))
-        try:
-            for i in range(1, 4):
-                an.tii_eigenvalue(m, v, i)
-            eigen = True
-        except ValueError:
-            eigen = False
-        seen.add((singular, eigen))
-        assert _is_highest(m, v) == (not m.truncated and singular and eigen)
-    assert len(seen) == 4
+    for m, v in _other_cases():
+        for i in range(1, 4):
+            want = _fraction_eigenvalue(m, v, i)
+            seen.add(want is None)
+            if want is None:
+                with pytest.raises(ValueError, match="eigenvector"):
+                    an.tii_eigenvalue(m, v, i)
+            else:
+                assert an.tii_eigenvalue(m, v, i) == want
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_room_rule_on_the_all_operator_spin(k):
-    """xi_{0,k+1} in the truncated M(-k,0)@8 takes the all-operator spin,
+    """xi_{0,k+1} in the truncated M(-k,0)@8 spins with the room rule,
     skipping filled weight spaces, and its basis is the oracle's."""
     m = build_small_verma(-k, 0, 8)
     v = {m.space.labels.index(((0, k + 1),)): ONE}
-    assert not _is_highest(m, v)
     assert an.cyclic_span(m, v).basis == fraction_spin(m, v)
 
 
@@ -142,32 +145,62 @@ def test_room_rule_on_the_all_operator_spin(k):
 def test_room_rule_on_reducible_products(pairs):
     """The highest vector and the proper singular vectors of each reducible
     product (the reversed pair has none: its highest vector spans a proper
-    submodule): the lowering-only spin with the room rule."""
+    submodule) spin with the room rule to the oracle's basis."""
     m = _tensor(pairs)
     zetas = [b for b in an.singular_vectors(m).basis
              if b.keys() - {m.highest_index}]
     assert len(zetas) == (pairs != _REDUCIBLE[1])
     for v in [{m.highest_index: ONE}] + zetas:
-        assert len({m.space.weight[c] for c in v}) == 1 and _is_highest(m, v)
+        assert len({m.space.weight[c] for c in v}) == 1
         assert an.cyclic_span(m, v).basis == fraction_spin(m, v)
 
 
 def test_room_rule_skips_products(monkeypatch):
-    """On L(-2,0)(x)L(-2,0) the highest-vector spin makes 52 products, far
-    fewer than one per basis vector and lowering coefficient (36 x 12 = 432),
-    the count of a spin without the room rule.  The exact count also catches
-    a rule that skips only some of the products it should.  Testing that the
-    start vector is singular takes one more product per raising coefficient."""
+    """On L(-2,0)(x)L(-2,0) the spin of the highest vector makes 52 products,
+    far fewer than one per basis vector and coefficient matrix of the nine
+    T_ij (36 x 39 = 1404), the count of a spin without the room rule.  The
+    exact count also catches a rule that skips only some of the products it
+    should.  No coefficient matrix is transposed twice."""
     L2 = build_elementary(-2, 0)
     m = tensor_modules(L2, L2)
-    calls = []
-    real = an.mat_vec
-    monkeypatch.setattr(an, "mat_vec", lambda C, x: calls.append(1) or real(C, x))
+    calls, transposed = [], []
+    real_mat_vec, real_columns = an.mat_vec, an.columns
+    monkeypatch.setattr(an, "mat_vec",
+                        lambda C, x: calls.append(1) or real_mat_vec(C, x))
+    monkeypatch.setattr(an, "columns",
+                        lambda R: transposed.append(id(R)) or real_columns(R))
     span = an.cyclic_span(m, {m.highest_index: ONE})
-    lowering = sum(len(m.op(i, j).rows) for i, j in an._LOWERING)
-    raising = sum(len(m.op(i, j).rows) for i, j in an._RAISING)
-    assert span.dim == m.dim == 36 and lowering == raising == 12
-    assert len(calls) == raising + 52
+    mats = sum(len(op.rows) for row in m.T for op in row)
+    assert span.dim == m.dim == 36 and mats == 39
+    assert len(calls) == 52
+    assert len(transposed) == len(set(transposed)) <= mats
+
+
+def _rtt_breaking_pair():
+    """The reversed pair with den added to entry (2, 5) of the u^0
+    coefficient of T_12: its grading holds, RTT does not."""
+    m = _tensor(_REDUCIBLE[1])
+    op = m.T[0][1]
+    rows = [[dict(r) for r in R] for R in op.rows]
+    rows[0][2][5] = rows[0][2].get(5, 0) + op.den
+    T = [list(r) for r in m.T]
+    T[0][1] = OperatorPoly.from_int_rows(rows, op.den, op.op_parity)
+    return dataclasses.replace(m, T=T)
+
+
+def test_spin_is_the_closure_on_a_module_that_breaks_rtt():
+    """The span is the closure under all nine T_ij even where RTT fails, so
+    no triangular decomposition is assumed: here the highest vector is
+    cyclic (dim 9), although a spin by T_21, T_31, T_32 alone reaches dim 8."""
+    m = _rtt_breaking_pair()
+    assert m.grading_violations() == []
+    with pytest.raises(an.RelationViolation):
+        an.verify_rtt(m)
+    v = {m.highest_index: ONE}
+    span = an.cyclic_span(m, v)
+    assert span.basis == fraction_spin(m, v) and span.dim == m.dim == 9
+    assert an.is_irreducible(m) == (True, {"singular_dim": 1, "cyclic_dim": 9,
+                                           "dim": 9})
 
 
 def _drinfeld(m):
