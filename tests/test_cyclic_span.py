@@ -1,9 +1,8 @@
 """cyclic_span against a plain Fraction spin, and the paper's tensor-product
 irreducibility criterion as a property of is_irreducible."""
 
-from functools import reduce
-
 import dataclasses
+from functools import reduce
 
 import pytest
 from hypothesis import (Phase, assume, example, given, settings,
@@ -176,23 +175,19 @@ def test_room_rule_skips_products(monkeypatch):
     assert len(transposed) == len(set(transposed)) <= mats
 
 
-def _rtt_breaking_pair():
+def test_spin_is_the_closure_on_a_module_that_breaks_rtt():
     """The reversed pair with den added to entry (2, 5) of the u^0
-    coefficient of T_12: its grading holds, RTT does not."""
+    coefficient of T_12 keeps its grading and breaks RTT.  Its span is still
+    the closure under all nine T_ij, so no triangular decomposition is
+    assumed: the highest vector is cyclic (dim 9), although a spin by T_21,
+    T_31, T_32 alone reaches dim 8."""
     m = _tensor(_REDUCIBLE[1])
     op = m.T[0][1]
     rows = [[dict(r) for r in R] for R in op.rows]
     rows[0][2][5] = rows[0][2].get(5, 0) + op.den
     T = [list(r) for r in m.T]
     T[0][1] = OperatorPoly.from_int_rows(rows, op.den, op.op_parity)
-    return dataclasses.replace(m, T=T)
-
-
-def test_spin_is_the_closure_on_a_module_that_breaks_rtt():
-    """The span is the closure under all nine T_ij even where RTT fails, so
-    no triangular decomposition is assumed: here the highest vector is
-    cyclic (dim 9), although a spin by T_21, T_31, T_32 alone reaches dim 8."""
-    m = _rtt_breaking_pair()
+    m = dataclasses.replace(m, T=T)
     assert m.grading_violations() == []
     with pytest.raises(an.RelationViolation):
         an.verify_rtt(m)
