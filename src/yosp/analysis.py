@@ -15,6 +15,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact_arith import (HALF, KAPPA, ONE, RatFunc, Scalar, UniPoly, ZERO,
@@ -83,16 +84,17 @@ def module_digest(m: ModuleRep) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Relation verifiers
-#
-# Both verifiers compare sparse integer matrices.  A point x = a/q is
-# evaluated once as q^E L T_ij(x) by OperatorPoly.eval_int (E bounds every
-# deg T_ij, L is the lcm of their dens); R(w) is cleared the same way.  Each
-# side of either relation is bilinear in the evaluations of T and linear in
-# R, so these nonzero factors scale both sides alike.  Only the checked
-# columns of a product are formed.  The sample points are plain progressions
-# that skip no point: the cleared sides are polynomials, so distinct points
-# beyond the degree bound certify, roots of d(u) included.
+# Relation verifiers: one packed-integer kernel.  T is evaluated in integers
+# (_kernel) and R(w) as r1 + rP P + rQ Q; the sides are bilinear in T and
+# linear in R, so the scalings cancel.  After the grading check, a row of a
+# block of either side lies in one weight space, where a checked column's
+# K-bit slot is its place in its window (the checked columns of its weight).
+# A side's row packs its blocks f side by side, M slots (the largest window)
+# each: one multiply-add per nonzero of row t of [T_i1 T_i2 T_i3] (_times)
+# forms row t of every block, and a relation row is one int comparison whose
+# lowest set bit gives the first failing entry: the lowest block f over the
+# rows, then row t, then its slot (cols order).  The points skip none: the
+# cleared sides are polynomials, so roots of d(u) are no exception.
 # ---------------------------------------------------------------------------
 
 # A truncated module is exact only away from its cut: the relation verifiers
@@ -100,6 +102,14 @@ def module_digest(m: ModuleRep) -> str:
 # sought SINGULAR_MARGIN levels below it.
 RELATION_MARGIN = 4
 SINGULAR_MARGIN = 2
+
+_P, _Q, _ = build_P_Q_R()  # P swaps legs, Q = alpha beta^T has rank one
+_SWAP = [next((f, int(x)) for f, x in row.items()) for row in _P]
+_BETA = {f: int(x) for f, x in next(row for row in _Q if row).items()}
+_ALPHA = [int(row.get(min(_BETA), 0) / _BETA[min(_BETA)]) for row in _Q]
+# 0-based: _TAU[a][b] = (-1)^(|a||b|); _WS[3A + B] = w_A + w_B.
+_TAU = [[-1 if bar(a) and bar(b) else 1 for b in (1, 2, 3)] for a in (1, 2, 3)]
+_WS = [W_SHIFT[e // 3 + 1] + W_SHIFT[e % 3 + 1] for e in range(9)]
 
 
 def _checked_cols(m: ModuleRep, margin: int):
@@ -112,47 +122,58 @@ def _checked_cols(m: ModuleRep, margin: int):
     return cols
 
 
-_RC = OperatorPoly.from_rows(build_P_Q_R()[2], 0)  # the cleared R, degree 2
-
-
 def _int_scale(m: ModuleRep):
     """(E, L): E bounds the degree of every T_ij, L is the lcm of their dens."""
     E = max(len(op.rows) for row in m.T for op in row) - 1
     return E, lcm(*(op.den for row in m.T for op in row))
 
 
-def _eval_T(m: ModuleRep, E, L, x):
-    """q^E L T_ij(x) for x = a/q, each row a list of (column, value) items,
-    which _prod walks faster than dicts."""
-    return [[[list(r.items()) for r in op.eval_int(x, E, L // op.den)]
-             for op in row] for row in m.T]
+def _kernel(m: ModuleRep, points, scale: int, target: int = 0):
+    """(windows, M, K, shl, at) for m at the points x = a/q: windows {weight:
+    its checked columns}, M the largest one's size, shl[c] = 2^(K slot(c)), 0
+    for an unchecked c, at(x) = q^E L T_ij(x) by eval_int (E bounds each deg
+    T_ij, L is the lcm of their dens), and K = 2 + bitlen(B), B = max(scale
+    l^2, |target|), l the largest sum over k of (L/den) A^k Q^(E-k) times the
+    largest row l1 norm of the u^k rows of a T_ij, A, Q the largest |a|, q.
+
+    K is wide enough: l bounds the row l1 norms of at(x), so an entry of a
+    product of two blocks is at most l^2, and B bounds a slot that sums such
+    entries with weights of total size <= scale, or is a target entry.  A
+    difference is sum_s d_s 2^(K s), |d_s| <= 2B < 2^(K-1).  Balanced base-2^K
+    digits are unique, so it is 0 exactly when every d_s is, and otherwise its
+    lowest set bit lies in the slot of its lowest nonzero d_s."""
+    E, L = _int_scale(m)
+    norms = [(L // op.den, [max(sum(map(abs, r.values())) for r in R)
+                            for R in op.rows]) for row in m.T for op in row]
+    A, Q = (max(abs(x.numerator) for x in points),
+            max(x.denominator for x in points))
+    l1 = max(c * sum(n * A ** k * Q ** (E - k) for k, n in enumerate(ns))
+             for c, ns in norms)
+    K = 2 + max(scale * l1 * l1, abs(target)).bit_length()
+    windows, shl = {}, [0] * m.dim
+    for c in _checked_cols(m, RELATION_MARGIN):
+        win = windows.setdefault(m.space.weight[c], [])
+        shl[c] = 1 << K * len(win)
+        win.append(c)
+    return (windows, max(map(len, windows.values())), K, shl,
+            lambda x: [[op.eval_int(x, E, L // op.den) for op in row] for row in m.T])
 
 
-def _cut(T, colpos):
-    """Evaluated T restricted to the checked columns, renumbered by colpos."""
-    return [[[[(colpos[c], v) for c, v in r if c in colpos] for r in rows]
-             for rows in row] for row in T]
+def _rows(T):
+    """Row t of [T_i1 T_i2 T_i3] as {k n + l: value}, for each i and t."""
+    return [[{k * len(R) + l: v for k, R in enumerate(row)
+              for l, v in R[t].items()} for t in range(len(row[0]))] for row in T]
 
 
-def _prod(A, Bcut, width):
-    """A @ B[:, cols] from sparse rows, as {row * width + position: value}."""
-    out = {}
-    for t, row in enumerate(A):
-        base = t * width
-        for j, a in row:
-            for s, b in Bcut[j]:
-                k = base + s
-                out[k] = out.get(k, 0) + a * b
-    return out
+def _times(rows, ops):
+    """Rows times packed operands, one multiply-add per nonzero; shl packs."""
+    return [sum(map(mul, r.values(), map(ops.__getitem__, r))) for r in rows]
 
 
-def _combine(terms):
-    """The sum of c * X over the (c, X) terms, keeping nonzero entries only."""
-    acc = {}
-    for c, X in terms:
-        for k, x in X.items():
-            acc[k] = acc.get(k, 0) + c * x
-    return {k: v for k, v in acc.items() if v}
+def _first_failure(diffs, K: int, M: int):
+    """(f, t, s): the lowest nonzero slot of the differences, by f, t, s."""
+    return min((b // M, t, b % M) for t, d in enumerate(diffs) if d
+               for b in [((d & -d).bit_length() - 1) // K])
 
 
 def _require_grading(m: ModuleRep):
@@ -164,6 +185,46 @@ def _require_grading(m: ModuleRep):
         raise RelationViolation(
             f"grading fails: T_{i}{j} entry ({a},{b}) breaks the weight or "
             f"parity grading ({len(bad)} such entries)", witness=bad[0])
+
+
+def _r_side(pk, W: int):
+    """R's right side at u in its parts 1, P, Q: H[part][A][D n + j] packs
+    tau(A,D) sum_C tau(C,D) part[(C,D), f] (row j of T_AC(u)) in block f."""
+    n, qb = len(pk[0][0]), sum(b << f * W for f, b in _BETA.items())  # Q: beta
+    H = [[[0] * (3 * n) for _ in range(3)] for _ in range(3)]
+    for A, C, D in ((A, C, D) for A in range(3) for C in range(3) for D in range(3)):
+        e, s = 3 * C + D, _TAU[A][D] * _TAU[C][D]
+        (f, sp), a = _SWAP[e], _ALPHA[e] * s
+        for j, x in enumerate(pk[A][C], D * n):
+            H[0][A][j] += s * x << e * W
+            H[1][A][j] += s * sp * x << f * W
+            if a:
+                H[2][A][j] += a * x * qb
+    return H
+
+
+def _rtt_pair(u, v, H, rw, K: int, M: int):
+    """RTT at (u, v): None, or the first failing (p, f, t, slot); u, v are T's
+    (_rows, packed rows) at the points, H is _r_side at u and rw the (r1, rP,
+    rQ) of R(u-v).  Block ((A,B), (C,D)) of T_1(u) T_2(v), resp. T_2(v) T_1(u),
+    has the Koszul sign (-1)^((|A|+|C|) |B|), resp. |D|."""
+    (ru, _), (rv, pk), W, (r1, rP, rQ) = u, v, K * M, rw
+    # G[B][C n + j]: tau(C,B) (row j of [T_B1 T_B2 T_B3](v)) in blocks (C, .)
+    G = [[_TAU[C][B] * x << 3 * C * W for C in range(3) for x in
+          [a + (b << W) + (c << 2 * W) for a, b, c in zip(*pk[B])]]
+         for B in range(3)]
+    X = [_times(ru[A], G[B]) for A in range(3) for B in range(3)]  # tau(A,B) X_e
+    zb = [b * _TAU[e // 3][e % 3] for e, b in _BETA.items()]
+    Z = [sum(map(mul, zb, xs)) for xs in zip(*(X[e] for e in _BETA))]
+    F = [[r1 * a + rP * b + rQ * c for a, b, c in zip(*(h[A] for h in H))]
+         for A in range(3)]
+    for p in range(9):
+        (q, sq), (A, B) = _SWAP[p], divmod(p, 3)
+        c1, cP, cQ = r1 * _TAU[A][B], rP * sq * _TAU[B][A], rQ * _ALPHA[p]
+        diffs = [c1 * x + cP * y + cQ * z - r for x, y, z, r in
+                 zip(X[p], X[q], Z, _times(rv[B], F[A]))]
+        if any(diffs):
+            return (p, *_first_failure(diffs, K, M))
 
 
 def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
@@ -184,47 +245,29 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     D = m.denom.degree
     base = random.Random(seed).randint(-6, 6)
     S = [rat(base + 2 * k) for k in range(D + 3)]
-    cols = _checked_cols(m, RELATION_MARGIN)
-    colpos = {c: k for k, c in enumerate(cols)}
-    width = len(cols)
-    E, L = _int_scale(m)
-    # Block (e, f) = ((A,B), (C,D)) of T_1(u) T_2(v), resp. T_2(v) T_1(u),
-    # carries the Koszul sign -1 when |A|+|C| and |B|, resp. |D|, are odd.
-    idx = [(e // 3 + 1, e % 3 + 1) for e in range(9)]
-    sx = [[-1 if (bar(A) + bar(C)) % 2 and bar(B) else 1
-           for C, _ in idx] for A, B in idx]
-    sy = [[-1 if (bar(A) + bar(C)) % 2 and bar(Dd) else 1
-           for C, Dd in idx] for A, _ in idx]
-    at = [(T, _cut(T, colpos)) for T in (_eval_T(m, E, L, s) for s in S)]
-    for i, (u0, (Tu, Tu_cut)) in enumerate(zip(S, at)):
-        for v0, (Tv, Tv_cut) in zip(S[i + 1:], at[i + 1:]):
-            X, Y = [None] * 81, [None] * 81
-            for e, (A, B) in enumerate(idx):
-                for f, (C, Dd) in enumerate(idx):
-                    X[9 * e + f] = _prod(Tu[A - 1][C - 1], Tv_cut[B - 1][Dd - 1],
-                                         width)
-                    Y[9 * e + f] = _prod(Tv[B - 1][Dd - 1], Tu_cut[A - 1][C - 1],
-                                         width)
-            R = _RC.eval_int(u0 - v0, 2)
-            R_cols = columns(R)
-            for p in range(9):
-                for f in range(9):
-                    diff = _combine(
-                        [(c * sx[e][f], X[9 * e + f]) for e, c in R[p].items()]
-                        + [(-c * sy[p][e], Y[9 * p + e])
-                           for e, c in R_cols.get(f, {}).items()])
-                    if diff:  # the first differing entry, row-major
-                        t, s = divmod(min(diff), width)
-                        raise RelationViolation(
-                            f"RTT fails at (u,v)=({u0},{v0}) "
-                            f"block ({p},{f}) entry ({t},{cols[s]})",
-                            witness=(u0, v0, (p, f, t, cols[s])))
+    # 2 w(w-kappa) R(w) = r1 + rP P + rQ Q; P has one +-1 per row, Q three
+    parts = {w: tuple(int(2 * c) for c in (w * w - KAPPA * w, KAPPA - w, w))
+             for w in (S[0] - v for v in S)}
+    scale = max(abs(a) + abs(b) + 3 * abs(c) for a, b, c in parts.values())
+    windows, M, K, shl, at = _kernel(m, S, scale)
+    legs = [(_rows(T), [[_times(R, shl) for R in row] for row in T])
+            for T in map(at, S)]
+    for i, u0 in enumerate(S[:-1]):
+        H = _r_side(legs[i][1], K * M)
+        for v0, leg in zip(S[i + 1:], legs[i + 1:]):
+            if bad := _rtt_pair(legs[i], leg, H, parts[u0 - v0], K, M):
+                p, f, t, s = bad
+                c = windows[m.space.weight[t] - _WS[p] + _WS[f]][s]
+                raise RelationViolation(
+                    f"RTT fails at (u,v)=({u0},{v0}) "
+                    f"block ({p},{f}) entry ({t},{c})",
+                    witness=(u0, v0, (p, f, t, c)))
     samples = [{"u": rat_str(u0), "v": rat_str(v0), "pass": True,
                 "by": "product" if i < j else "mirror" if i > j else "diagonal"}
                for i, u0 in enumerate(S) for j, v0 in enumerate(S)]
     return {"check": "rtt", "module_digest": module_digest(m),
             "degree_bound": [D + 2, D + 2], "grid": [len(S), len(S)],
-            "samples": samples, "columns_checked": width,
+            "samples": samples, "columns_checked": sum(map(len, windows.values())),
             "backend": Scalar.__qualname__, "result": "pass"}
 
 
@@ -247,40 +290,37 @@ def verify_central(m: ModuleRep, seed: int = 0) -> dict:
         raise RelationViolation(
             f"c(u) d(u-kappa) d(u) = {target} is not a polynomial",
             witness=target)
-    cols = _checked_cols(m, RELATION_MARGIN)
-    colpos = {c: k for k, c in enumerate(cols)}
-    width = len(cols)
+    # den T(x) T^t(u), x = u - kappa, is compared with num 1, num/den the target
+    # scaled as T(x) and T(u) are.
     E, L = _int_scale(m)
-    # (T^t)_kj = st_sign(k, j) T_{j'k'}, 1-based.
-    st = [[st_sign(k, j) for j in range(1, 4)] for k in range(1, 4)]
-    samples = []
-    for u0 in us:
-        x = u0 - KAPPA
-        Tx = _eval_T(m, E, L, x)
-        Tu_cut = _cut(_eval_T(m, E, L, u0), colpos)
-        want = (target.num(u0)
-                * L * x.denominator ** E * L * u0.denominator ** E)
-        if want.denominator == 1:
-            want = want.numerator
-        diag = {c * width + k: want for k, c in enumerate(cols)}
-        for i in range(3):
-            for j in range(3):
-                terms = [(st[k][j], _prod(Tx[i][k], Tu_cut[2 - j][2 - k], width))
-                         for k in range(3)]
-                if i == j:
-                    terms.append((-1, diag))
-                diff = _combine(terms)
-                if diff:  # the first differing entry, row-major
-                    t, s = divmod(min(diff), width)
-                    raise RelationViolation(
-                        f"central relation fails at u={u0} "
-                        f"entry ({i+1},{j+1})({t},{cols[s]})",
-                        witness=(u0, (i + 1, j + 1, t, cols[s])))
+    wants = [target.num(u) * L * L
+             * ((u - KAPPA).denominator * u.denominator) ** E for u in us]
+    windows, M, K, shl, at = _kernel(
+        m, [x for u in us for x in (u - KAPPA, u)],
+        3 * max(w.denominator for w in wants), max(abs(w.numerator) for w in wants))
+    st = [[st_sign(k, j) for j in range(1, 4)] for k in range(1, 4)]  # 1-based
+    samples, n, W = [], m.dim, K * M
+    for u0, want in zip(us, wants):
+        pk = [[_times(R, shl) for R in row] for row in at(u0)]
+        # row l of (T^t)_kj = st_sign(k, j) T_{j'k'}(u) in block j, at k n + l
+        ops = [want.denominator * sum(st[k][j] * pk[2 - j][2 - k][l] << j * W
+                                      for j in range(3))
+               for k in range(3) for l in range(n)]
+        for i, rows in enumerate(_rows(at(u0 - KAPPA))):
+            diffs = [r - (want.numerator * g << i * W)
+                     for r, g in zip(_times(rows, ops), shl)]
+            if any(diffs):
+                j, t, s = _first_failure(diffs, K, M)
+                c = windows[m.space.weight[t] - W_SHIFT[i + 1] + W_SHIFT[j + 1]][s]
+                raise RelationViolation(
+                    f"central relation fails at u={u0} "
+                    f"entry ({i+1},{j+1})({t},{c})",
+                    witness=(u0, (i + 1, j + 1, t, c)))
         samples.append({"u": rat_str(u0), "pass": True})
     return {"check": "central", "module_digest": module_digest(m),
             "degree_bound": 2 * D, "samples": samples,
-            "columns_checked": width, "backend": Scalar.__qualname__,
-            "result": "pass"}
+            "columns_checked": sum(map(len, windows.values())),
+            "backend": Scalar.__qualname__, "result": "pass"}
 
 
 def _t_blocks_at(m: ModuleRep, x) -> List[List[List[List[Scalar]]]]:

@@ -85,17 +85,19 @@ def test_criterion_2_reports_cover_s_x_s(rtt_suite, monkeypatch, tmp_path,
                                          capsys):
     """Criterion 2's RTT reports, from the library and from
     `yosp verify rtt --json`, cover S x S, and verify_rtt multiplies out
-    only the (D+3)(D+2)/2 pairs i < j: 162 block products each."""
-    products = []
-    prod = an._prod
-    monkeypatch.setattr(an, "_prod",
-                        lambda *args: products.append(1) or prod(*args))
+    only the (D+3)(D+2)/2 pairs i < j, one kernel step each, row-major."""
+    steps = []
+    step = an._rtt_pair
+    monkeypatch.setattr(an, "_rtt_pair", lambda u, v, *args: steps.append(
+        (id(u), id(v))) or step(u, v, *args))
     path = str(tmp_path / "m.json")
     for name, m in rtt_suite.items():
         n = m.denom.degree + 3
-        del products[:]
+        del steps[:]
         _assert_covers_s_x_s(an.verify_rtt(m, seed=3), n)
-        assert len(products) == 162 * (n * (n - 1) // 2), name
+        legs = list(dict.fromkeys(leg for pair in steps for leg in pair))
+        assert steps == [(legs[i], legs[j]) for i in range(n)
+                         for j in range(i + 1, n)], name
         save_module(m, path)
         assert main(["verify", "rtt", path, "--seed", "3", "--json"]) == 0
         _assert_covers_s_x_s(json.loads(capsys.readouterr().out), n)

@@ -151,7 +151,10 @@ def _modules():
     return {"vector": vector_representation(),
             "L(-2,0)": build_elementary(rat(-2), rat(0)),
             "L(-1,0)xL(-1,0)": tensor_modules(L1, L1),
-            "M(-2/3,0)@6": build_small_verma(rat(-2, 3), rat(0), depth=6)}
+            "M(-2/3,0)@6": build_small_verma(rat(-2, 3), rat(0), depth=6),
+            # weights of denominator 3: the windows are keyed by Fractions
+            "L(-7/3,-4/3)xL(-1,0)": tensor_modules(
+                build_elementary(rat(-7, 3), rat(-4, 3)), L1)}
 
 
 MODULES = _modules()
@@ -221,7 +224,7 @@ def _flip_entry(m, rng):
     return dataclasses.replace(m, T=T)
 
 
-def _rtt_outcome(verify, m, seed):
+def _rtt_outcome(verify, m, seed=0):
     """The report (without "by"), or the witness of the RelationViolation."""
     try:
         return _without_by(verify(m, seed=seed))
@@ -254,9 +257,123 @@ def test_symmetric_grid_matches_the_full_grid_oracle(pairs, seed, pick):
 @pytest.mark.parametrize("corrupt", [_flip_top_entry, _flip_operator])
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(3) for j in range(3)])
 def test_negative_controls_give_the_oracle_witness(i, j, corrupt):
-    bad = corrupt(MODULES["L(-2,0)"], i, j)
-    assert _witness(an.verify_rtt, bad) == _witness(oracle_rtt, bad)
-    assert _witness(an.verify_central, bad) == _witness(oracle_central, bad)
+    """On a product and on a truncated module too, whose windows hold only
+    its checked columns."""
+    for name in ("L(-2,0)", "L(-1,0)xL(-1,0)", "M(-2/3,0)@6"):
+        bad = corrupt(MODULES[name], i, j)
+        assert _witness(an.verify_rtt, bad) == _witness(oracle_rtt, bad), name
+        assert (_witness(an.verify_central, bad)
+                == _witness(oracle_central, bad)), name
+
+
+def test_a_central_target_that_is_not_an_integer():
+    """With c(u) / 11 the scaled target at the first sample has denominator
+    11, so no integer entry of the left side equals it."""
+    m = vector_representation()
+    m = dataclasses.replace(m, c=m.c * RatFunc.const(rat(1, 11)))
+    assert (_witness(an.verify_central, m) == _witness(oracle_central, m)
+            == (rat(1, 7), (1, 1, 0, 0)))
+
+
+def _digits(x, K):
+    """The balanced base-2^K digits of the int x, each in [-2^(K-1), 2^(K-1))."""
+    out = []
+    while x:
+        d = (x + (1 << K - 1)) % (1 << K) - (1 << K - 1)
+        out.append(d)
+        x = (x - d) >> K
+    return out
+
+
+def _rtt_gap(m, seed=0, margin=4):
+    """The largest |LHS - RHS| entry of RTT on the checked columns, by the
+    oracle's formula, over the pairs i < j that verify_rtt multiplies out,
+    times 2 L^2: the kernel evaluates L T(x) at these integer points, 2 Rc(w)."""
+    D = m.denom.degree
+    base = random.Random(seed).randint(-6, 6)
+    us = [rat(base + 2 * k) for k in range(D + 3)]
+    cols = an._checked_cols(m, margin)
+    Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
+    at = {x: [[_rows(_at(m.op(i, j), x)) for j in range(1, 4)]
+              for i in range(1, 4)] for x in us}
+    top = 0
+    for a, u0 in enumerate(us):
+        for v0 in us[a + 1:]:
+            Mu, Mv, R = at[u0], at[v0], rc_eval(Rc, u0 - v0)
+            # X[e, f], resp. Y[e, f], as in oracle_rtt
+            X = {(e, f): (-1 if (bar(e // 3 + 1) + bar(f // 3 + 1)) % 2
+                          and bar(e % 3 + 1) else 1,
+                          _product(Mu[e // 3][f // 3], Mv[e % 3][f % 3]))
+                 for e in range(9) for f in range(9)}
+            Y = {(e, f): (-1 if (bar(e // 3 + 1) + bar(f // 3 + 1)) % 2
+                          and bar(f % 3 + 1) else 1,
+                          _product(Mv[e % 3][f % 3], Mu[e // 3][f // 3]))
+                 for e in range(9) for f in range(9)}
+            for p in range(9):
+                for q in range(9):
+                    acc = {}
+                    for e in range(9):
+                        sign, x = X[e, q]
+                        _accumulate(acc, sign * R[p][e], x)
+                        sign, y = Y[p, e]
+                        _accumulate(acc, -sign * R[e][q], y)
+                    top = max([top] + [abs(x) for (t, s), x in acc.items()
+                                       if s in cols])
+    return top * 2 * an._int_scale(m)[1] ** 2
+
+
+def _central_gap(m, seed=0, margin=4):
+    """The largest |LHS - RHS| entry of the central relation on the checked
+    columns, by the oracle's formula, scaled as verify_central compares it:
+    by den L^2 q^(2E), den the denominator of the scaled target and q that of
+    the sample."""
+    D = m.denom.degree
+    base = random.Random(seed).randint(-6, 6)
+    us = [rat(base) + rat(1, 7) + k for k in range(2 * D + 3)]
+    scalar_of = m.c * RatFunc(m.denom.shift(-KAPPA)) * RatFunc(m.denom)
+    cols = an._checked_cols(m, margin)
+    E, L = an._int_scale(m)
+    top = 0
+    for u0 in us:
+        scale = L ** 2 * ((u0 - KAPPA).denominator * u0.denominator) ** E
+        scale *= (scalar_of(u0) * scale).denominator
+        Mu = [[_at(m.op(i, j), u0 - KAPPA) for j in range(1, 4)]
+              for i in range(1, 4)]
+        Mt = [[mat_scale(_at(m.op(iprime(j), iprime(k)), u0),
+                         theta(k) * theta(j) * (-1) ** (bar(k) * bar(j) + bar(j)))
+               for j in range(1, 4)] for k in range(1, 4)]
+        for i in range(3):
+            for j in range(3):
+                acc = zeros(m.dim)
+                for k in range(3):
+                    acc = mat_add(acc, mat_mul(Mu[i][k], Mt[k][j]))
+                for t in range(m.dim):
+                    for s in cols:
+                        want = scalar_of(u0) if (i == j and t == s) else ZERO
+                        top = max(top, abs(acc[t][s] - want) * scale)
+    return top
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_slot_width_bounds_every_slot(name, flip, monkeypatch):
+    """The K of _kernel bounds every slot the kernel compares, and every
+    packed operand and product it forms.  The compared slots are the scaled
+    LHS - RHS entries, 0 on the clean modules, whose oracle reports pass."""
+    m = _flip_top_entry(MODULES[name], 0, 1) if flip else MODULES[name]
+    Ks, packed = [], []
+    kernel, times = an._kernel, an._times
+    monkeypatch.setattr(an, "_kernel", lambda *args: Ks.append(
+        kernel(*args)) or Ks[-1])
+    monkeypatch.setattr(an, "_times", lambda rows, ops: packed.append(
+        ops + (out := times(rows, ops))) or out)
+    for verify, gap in ((an.verify_rtt, _rtt_gap), (an.verify_central, _central_gap)):
+        del Ks[:], packed[:]
+        assert isinstance(_rtt_outcome(verify, m), tuple) == flip
+        ((_, _, K, _, _),) = Ks
+        assert (gap(m) if flip else 0) < 2 ** (K - 1)
+        assert max(abs(d) for xs in packed for x in xs
+                   for d in _digits(x, K)) < 2 ** (K - 1)
 
 
 def test_no_checked_column_is_refused():
