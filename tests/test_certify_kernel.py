@@ -359,21 +359,28 @@ def _central_gap(m, seed=0, margin=4):
 def test_slot_width_bounds_every_slot(name, flip, monkeypatch):
     """The K of _kernel bounds every slot the kernel compares, and every
     packed operand and product it forms.  The compared slots are the scaled
-    LHS - RHS entries, 0 on the clean modules, whose oracle reports pass."""
+    LHS - RHS entries, 0 on the clean modules, whose oracle reports pass.
+    The verifiers run with slots 3K bits wide here, so that decoding gives
+    each slot's true value, which must fit K bits."""
     m = _flip_top_entry(MODULES[name], 0, 1) if flip else MODULES[name]
     Ks, packed = [], []
     kernel, times = an._kernel, an._times
-    monkeypatch.setattr(an, "_kernel", lambda *args: Ks.append(
-        kernel(*args)) or Ks[-1])
+
+    def wide(*args):
+        windows, M, K, shl, at = kernel(*args)
+        Ks.append(K)
+        return windows, M, 3 * K, [x ** 3 for x in shl], at
+
+    monkeypatch.setattr(an, "_kernel", wide)
     monkeypatch.setattr(an, "_times", lambda rows, ops: packed.append(
         ops + (out := times(rows, ops))) or out)
     for verify, gap in ((an.verify_rtt, _rtt_gap), (an.verify_central, _central_gap)):
         del Ks[:], packed[:]
         assert isinstance(_rtt_outcome(verify, m), tuple) == flip
-        ((_, _, K, _, _),) = Ks
+        (K,) = Ks
         assert (gap(m) if flip else 0) < 2 ** (K - 1)
         assert max(abs(d) for xs in packed for x in xs
-                   for d in _digits(x, K)) < 2 ** (K - 1)
+                   for d in _digits(x, 3 * K)) < 2 ** (K - 1)
 
 
 def test_no_checked_column_is_refused():
