@@ -7,9 +7,9 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from yosp.exact_arith import HALF, KAPPA, RatFunc, UniPoly, ZERO, ONE, rat
+from yosp.exact_arith import HALF, RatFunc, UniPoly, ZERO, ONE, rat
 from yosp._linalg import SingularMatrix, inverse, mat_mul, mat_sub
 from yosp.cli import main
 from yosp.rep_core import (ModuleRep, build_elementary, build_small_verma,
@@ -22,19 +22,16 @@ from characters import (char_elementary_half, char_elementary_int,
                         char_small_verma, character_prefix, multiplicity)
 from dense import dense, mat_vec, sparse
 from polys import from_roots
-from test_rep_core import _regraded
+from zoo import MODULE_SETTINGS, named, regraded
+
+# The paper's worked example: reducible, with the proper singular vector zeta.
+EXAMPLE = "L(-1,0)xL(-5/2,-3/2)"
 
 
 def _unit(m, label):
     v = [ZERO] * m.dim
     v[m.space.labels.index(label)] = ONE
     return v
-
-
-def _example_tensor():
-    a = build_elementary(rat(-1), rat(0))
-    b = build_elementary(rat(-5, 2), rat(-3, 2))
-    return tensor_modules(a, b)
 
 
 def _zeta(tp):
@@ -87,7 +84,7 @@ def test_rtt_negative_control_flipped_sign():
 
 def test_central_relation():
     for m in (vector_representation(), build_elementary(rat(-1), rat(0)),
-              _example_tensor()):
+              named(EXAMPLE)):
         assert an.verify_central(m)["result"] == "pass"
 
 
@@ -108,7 +105,7 @@ def test_central_refuses_a_non_polynomial_target():
 
 def test_hw_consistency_for_constructed_modules():
     for m in (vector_representation(), build_elementary(rat(-3), rat(0)),
-              _example_tensor()):
+              named(EXAMPLE)):
         assert highest_weight_of(m).consistency_holds()
 
 
@@ -118,6 +115,18 @@ def test_gauss_diagonal_check():
     m2 = build_elementary(rat(-2), rat(0))
     for u0 in (rat(4), rat(13, 3), rat(-6), rat(17, 5), rat(23, 7)):
         assert an.gauss_diagonal_check(m2, u0)["result"] == "pass"
+
+
+@pytest.mark.parametrize("name,u0", [
+    pytest.param("vector", rat(5, 2), id="vector-5/2"),
+    pytest.param("L(-1,0)xL(-1,0)", rat(5, 2), id="L(-1,0)xL(-1,0)-5/2"),
+    pytest.param("L(-2,0)", rat(7, 2), id="L(-2,0)-7/2")])
+def test_gauss_passes_where_h2_is_singular_at_u0(name, u0):
+    """h_2(u0) is singular here, but only h_2(u0 + 1/2) is inverted."""
+    m = named(name)
+    with pytest.raises(SingularMatrix):
+        inverse(an._gauss_at(m, u0, full=False)["h2"])
+    assert an.gauss_diagonal_check(m, u0)["result"] == "pass"
 
 
 def test_gauss_rejects_denominator_roots():
@@ -162,13 +171,12 @@ def _gauss_reference(m, x):
                                                     mat_mul(h1i, t[0][1]))), h2i)}
 
 
-@pytest.mark.parametrize("name,x", [("vector", rat(7)), ("L(-2,0)", rat(13, 3)),
-                                    ("L(-2,0)", rat(-5)), ("example", rat(7)),
-                                    ("example", rat(22, 7))])
+@pytest.mark.parametrize("name,x", [
+    ("vector", rat(7)), ("L(-2,0)", rat(13, 3)), ("L(-2,0)", rat(-5)),
+    pytest.param(EXAMPLE, rat(7), id="example-x3"),
+    pytest.param(EXAMPLE, rat(22, 7), id="example-x4")])
 def test_gauss_schur_complements_match_the_block_inverse(name, x):
-    m = {"vector": vector_representation,
-         "L(-2,0)": lambda: build_elementary(rat(-2), rat(0)),
-         "example": _example_tensor}[name]()
+    m = named(name)
     assert an._gauss_at(m, x) == _gauss_reference(m, x)
 
 
@@ -182,7 +190,7 @@ def test_singular_space_of_irreducible_module():
 
 
 def test_singular_space_of_example_tensor():
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     sub = an.singular_vectors(tp)
     assert sub.dim == 2
     z = _zeta(tp)
@@ -195,7 +203,7 @@ def test_singular_space_of_example_tensor():
 
 
 def test_singular_space_invariant_under_t11():
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     sub = an.singular_vectors(tp)
     from yosp._linalg import Span
     s = Span()
@@ -207,7 +215,7 @@ def test_singular_space_invariant_under_t11():
 
 
 def test_tii_eigenvalues_on_zeta():
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     z = _zeta(tp)
     target = RatFunc(from_roots([rat(1, 2), rat(5, 2)]),
                      from_roots([rat(3, 2), rat(3, 2)]))
@@ -223,7 +231,7 @@ def test_tii_eigenvalue_rejects_a_non_eigenvector():
     v = [a + b for a, b in zip(_unit(m, ((0, 0),)), _unit(m, ((0, 1),)))]
     with pytest.raises(ValueError, match="eigenvector"):
         an.tii_eigenvalue(m, sparse(v), 1)
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     z = _zeta(tp)
     z[tp.highest_index] += ONE
     for i in (1, 2):
@@ -277,7 +285,7 @@ def test_structure_vectors_with_a_float_or_bool_entry_are_refused():
             an.tii_eigenvalue(m, v, 1)
         with pytest.raises(ValueError, match="float or bool"):
             an.quotient_module(m, an.Subspace([v]))
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     tenth = {i: x / 10 for i, x in sparse(_zeta(tp)).items()}
     assert an.quotient_module(
         tp, an.Subspace([{i: str(x) for i, x in tenth.items()}])).dim == 8
@@ -296,12 +304,12 @@ def test_gauss_check_fails_at_a_pole_of_c():
 
 
 def test_cyclic_span_of_zeta_is_a_line():
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     assert an.cyclic_span(tp, sparse(_zeta(tp))).dim == 1
 
 
 def test_quotient_of_example_tensor():
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     k = an.cyclic_span(tp, sparse(_zeta(tp)))
     q = an.quotient_module(tp, k)
     assert q.dim == 8
@@ -334,7 +342,7 @@ def test_quotient_by_zero_subspace_is_identity():
 def test_quotient_by_the_whole_module_is_refused():
     """The top vector of the example tensor spans the whole module: the
     quotient would be zero, and the call says so before building it."""
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     k = an.cyclic_span(tp, {tp.highest_index: ONE})
     assert k.dim == tp.dim
     with pytest.raises(ValueError, match="whole module, so the quotient is zero"):
@@ -350,7 +358,7 @@ def test_quotient_rejects_non_invariant_subspace():
 def test_is_irreducible_on_elementary_and_example():
     ok, _ = an.is_irreducible(build_elementary(rat(-2), rat(0)))
     assert ok
-    ok, cert = an.is_irreducible(_example_tensor())
+    ok, cert = an.is_irreducible(named(EXAMPLE))
     assert not ok
     assert cert["singular_dim"] == 2 and "witness" in cert
 
@@ -363,10 +371,7 @@ def _column(A, c, n):
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=5).map(rat),
        st.fractions(min_value=-3, max_value=3, max_denominator=5).map(rat),
        st.integers(4, 6), st.integers(1, 3))
-# No shrink phase: each example builds two modules, and shrinking a failure
-# took minutes.
-@settings(max_examples=12, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@settings(MODULE_SETTINGS, max_examples=12)
 def test_truncation_margins_are_sound(alpha, beta, depth, extra):
     """M(alpha,beta) built at depth d and at d+k agree on every coefficient
     of every T_ij in the columns SINGULAR_MARGIN (so also RELATION_MARGIN)
@@ -406,7 +411,7 @@ def test_is_irreducible_rejects_truncated():
 
 def test_structure_entry_points_refuse_a_broken_grading():
     L2 = build_elementary(rat(-2), rat(0))
-    bad = _regraded(L2, L2.dim - 1, parity_flip=1)
+    bad = regraded(L2, L2.dim - 1, parity_flip=1)
     span = an.Subspace([{bad.highest_index: ONE}])
     for call in (lambda: an.singular_vectors(bad),
                  lambda: an.cyclic_span(bad, {bad.highest_index: ONE}),
@@ -440,7 +445,7 @@ def test_structure_entry_points_compose_the_public_analyses(monkeypatch,
     """is_irreducible is one singular_vectors and one cyclic_span, and `yosp
     quotient` adds one quotient_module: each runs the grading check once, so
     they make two and three checks."""
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     checks = _count_grading_checks(monkeypatch)
     calls = _count_analyses(monkeypatch)
     an.is_irreducible(tp)
@@ -466,7 +471,7 @@ def test_quotient_refuses_malformed_subspace_vectors():
             an.quotient_module(m, an.Subspace([v]))
         assert not isinstance(exc.value, an.NotInvariant)
     # zeta with an explicit 0 at the top vector, of another weight
-    tp = _example_tensor()
+    tp = named(EXAMPLE)
     zeta = sparse(_zeta(tp))
     padded = {**zeta, tp.highest_index: 0}
     assert (an.module_digest(an.quotient_module(tp, an.Subspace([padded])))

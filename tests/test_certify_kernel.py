@@ -17,19 +17,17 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from yosp import analysis as an
 from yosp.exact_arith import KAPPA, RatFunc, Scalar, UniPoly, ZERO, rat, rat_str
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
-from yosp.hopf_tensor import tensor_modules
-from yosp.rep_core import (build_elementary, build_small_verma,
-                           vector_representation)
+from yosp.rep_core import TruncatedInput
 from yosp.super_linalg import OperatorPoly, bar, build_P_Q_R, iprime, theta
 
 from dense import dense_rows
 from rmatrix import rc_eval
-from test_cyclic_span import _pairs, _tensor
+from zoo import M, MODULE_SETTINGS, VECTOR, build, named, product, trees
 
 
 def _at(op, x):
@@ -146,18 +144,9 @@ def oracle_central(m, seed=0, margin=4):
             "result": "pass"}
 
 
-def _modules():
-    L1 = build_elementary(rat(-1), rat(0))
-    return {"vector": vector_representation(),
-            "L(-2,0)": build_elementary(rat(-2), rat(0)),
-            "L(-1,0)xL(-1,0)": tensor_modules(L1, L1),
-            "M(-2/3,0)@6": build_small_verma(rat(-2, 3), rat(0), depth=6),
-            # weights of denominator 3: the windows are keyed by Fractions
-            "L(-7/3,-4/3)xL(-1,0)": tensor_modules(
-                build_elementary(rat(-7, 3), rat(-4, 3)), L1)}
-
-
-MODULES = _modules()
+# L(-7/3,-4/3) has weights of denominator 3: the windows are keyed by Fractions.
+PINNED = ["L(-1,0)xL(-1,0)", "L(-2,0)", "L(-7/3,-4/3)xL(-1,0)", "M(-2/3,0)@6",
+          "vector"]
 
 
 def _without_by(report):
@@ -167,15 +156,15 @@ def _without_by(report):
     return {**report, "samples": samples}
 
 
-@pytest.mark.parametrize("name", sorted(MODULES))
+@pytest.mark.parametrize("name", PINNED)
 def test_kernel_report_matches_oracle(name):
-    m = MODULES[name]
+    m = named(name)
     assert _without_by(an.verify_rtt(m, seed=2)) == oracle_rtt(m, seed=2)
     assert an.verify_central(m, seed=2) == oracle_central(m, seed=2)
 
 
 def test_reports_state_their_coverage():
-    m = MODULES["M(-2/3,0)@6"]
+    m = named("M(-2/3,0)@6")
     for report in (an.verify_rtt(m), an.verify_central(m)):
         assert report["columns_checked"] == len(m.interior_indices(4)) > 0
         assert report["backend"] == Scalar.__qualname__
@@ -225,30 +214,27 @@ def _flip_entry(m, rng):
 
 
 def _rtt_outcome(verify, m, seed=0):
-    """The report (without "by"), or the witness of the RelationViolation."""
+    """The report (without "by"), the witness of the RelationViolation, or
+    "truncated" when no column is checked."""
     try:
         return _without_by(verify(m, seed=seed))
     except an.RelationViolation as exc:
         return exc.witness
+    except TruncatedInput:
+        return "truncated"
 
 
-# Two factors up to dim 18 (k <= 2, not both 2), three up to dim 27 (k <= 1).
-_tuples = st.one_of(
-    st.lists(_pairs(2), min_size=2, max_size=2)
-    .filter(lambda ps: sum(b - a for a, b in ps) < 4),
-    st.lists(_pairs(1), min_size=3, max_size=3))
-
-
-# No shrink phase: shrinking a failure through module builds takes minutes.
-# Fixed draws: the cost of an example varies with its dimensions.
-@settings(max_examples=6, deadline=None, derandomize=True,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(pairs=_tuples, seed=st.integers(0, 10 ** 6), pick=st.integers(0, 10 ** 6))
-def test_symmetric_grid_matches_the_full_grid_oracle(pairs, seed, pick):
-    """On random products of elementary modules, clean and with one entry's
-    sign flipped, verify_rtt gives the full-grid oracle's verdict: the same
-    report, or the same witness."""
-    m = _tensor(pairs)
+# Fixed draws: the cost of an example varies with its dimensions.  None of
+# the six draws is a product, so a three-factor one is added.
+@settings(MODULE_SETTINGS, max_examples=6, derandomize=True)
+@given(tree=trees(27), seed=st.integers(0, 10 ** 6), pick=st.integers(0, 10 ** 6))
+@example(tree=build(product([("-1/2", "-1/2"), ("1/3", "1/3"), (-4, -3)])),
+         seed=2, pick=7)
+def test_symmetric_grid_matches_the_full_grid_oracle(tree, seed, pick):
+    """On random zoo modules, clean and with one entry's sign flipped,
+    verify_rtt gives the full-grid oracle's verdict: the same report, the
+    same witness, or the same refusal of a module with no checked column."""
+    m = tree.module
     for mod in (m, _flip_entry(m, random.Random(pick))):
         assert (_rtt_outcome(an.verify_rtt, mod, seed)
                 == _rtt_outcome(oracle_rtt, mod, seed))
@@ -260,7 +246,7 @@ def test_negative_controls_give_the_oracle_witness(i, j, corrupt):
     """On a product and on a truncated module too, whose windows hold only
     its checked columns."""
     for name in ("L(-2,0)", "L(-1,0)xL(-1,0)", "M(-2/3,0)@6"):
-        bad = corrupt(MODULES[name], i, j)
+        bad = corrupt(named(name), i, j)
         assert _witness(an.verify_rtt, bad) == _witness(oracle_rtt, bad), name
         assert (_witness(an.verify_central, bad)
                 == _witness(oracle_central, bad)), name
@@ -269,7 +255,7 @@ def test_negative_controls_give_the_oracle_witness(i, j, corrupt):
 def test_a_central_target_that_is_not_an_integer():
     """With c(u) / 11 the scaled target at the first sample has denominator
     11, so no integer entry of the left side equals it."""
-    m = vector_representation()
+    m = named("vector")
     m = dataclasses.replace(m, c=m.c * RatFunc.const(rat(1, 11)))
     assert (_witness(an.verify_central, m) == _witness(oracle_central, m)
             == (rat(1, 7), (1, 1, 0, 0)))
@@ -355,14 +341,14 @@ def _central_gap(m, seed=0, margin=4):
 
 
 @pytest.mark.parametrize("flip", [False, True])
-@pytest.mark.parametrize("name", sorted(MODULES))
+@pytest.mark.parametrize("name", PINNED)
 def test_slot_width_bounds_every_slot(name, flip, monkeypatch):
     """The K of _kernel bounds every slot the kernel compares, and every
     packed operand and product it forms.  The compared slots are the scaled
     LHS - RHS entries, 0 on the clean modules, whose oracle reports pass.
     The verifiers run with slots 3K bits wide here, so that decoding gives
     each slot's true value, which must fit K bits."""
-    m = _flip_top_entry(MODULES[name], 0, 1) if flip else MODULES[name]
+    m = _flip_top_entry(named(name), 0, 1) if flip else named(name)
     Ks, packed = [], []
     kernel, times = an._kernel, an._times
 
@@ -384,7 +370,7 @@ def test_slot_width_bounds_every_slot(name, flip, monkeypatch):
 
 
 def test_no_checked_column_is_refused():
-    m = build_small_verma(rat(-1, 3), rat(0), depth=3)
+    m = build(M("-1/3", 0, 3)).module
     assert m.interior_indices(4) == []
     with pytest.raises(an.TruncatedInput):
         an.verify_rtt(m)
@@ -392,17 +378,19 @@ def test_no_checked_column_is_refused():
         an.verify_central(m)
 
 
-RESCALED = [vector_representation(),
-            build_small_verma(rat(-2, 3), rat(0), depth=5)]
-
-
-@settings(max_examples=15, deadline=None)
-@given(module=st.sampled_from(RESCALED),
+@settings(MODULE_SETTINGS, max_examples=15)
+@given(tree=trees(16),
        c=st.fractions(min_value=-30, max_value=30, max_denominator=30)
        .filter(lambda c: c != 0))
-def test_rescaled_module_still_certifies(module, c):
+@example(tree=build(VECTOR), c=rat(-7, 3))
+@example(tree=build(M("-2/3", 0, 5)), c=rat(29, 30))
+def test_rescaled_module_still_certifies(tree, c):
     """T -> cT, d -> cd scales both sides of each relation by c^2."""
-    c = rat(c.numerator, c.denominator)
+    module, c = tree.module, rat(c.numerator, c.denominator)
+    if not module.interior_indices(an.RELATION_MARGIN):
+        with pytest.raises(TruncatedInput):
+            an.verify_rtt(module)
+        return
     m = dataclasses.replace(
         module, T=[[op.scale(c) for op in row] for row in module.T],
         denom=module.denom * UniPoly.const(c))

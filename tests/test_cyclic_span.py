@@ -5,15 +5,15 @@ import dataclasses
 from functools import reduce
 
 import pytest
-from hypothesis import (Phase, assume, example, given, settings,
-                        strategies as st)
+from hypothesis import assume, example, given, settings
 
 from yosp.exact_arith import ONE, RatFunc, UniPoly, rat
 from yosp._linalg import Span, columns, mat_vec
 from yosp.super_linalg import OperatorPoly
-from yosp.rep_core import build_elementary, build_small_verma
-from yosp.hopf_tensor import highest_weight_of, tensor_modules
+from yosp.hopf_tensor import highest_weight_of
 from yosp import analysis as an
+
+from zoo import L, M, MODULE_SETTINGS, build, named, product, trees
 
 
 def fraction_spin(m, v):
@@ -35,39 +35,21 @@ def fraction_spin(m, v):
     return span.basis()
 
 
-def _tensor(pairs):
-    return reduce(tensor_modules, (build_elementary(a, b) for a, b in pairs))
-
-
-# L(a, a+k) with a = p/q: dimension (k+1)(k+2)/2.  Integer and half-integer
-# a make the factors' roots meet, so reducible products come up often.
-def _pairs(k_max):
-    return st.builds(lambda p, q, k: (rat(p, q), rat(p, q) + k),
-                     st.integers(-4, 2), st.integers(1, 3),
-                     st.integers(0, k_max))
-
-
-# Two factors up to dim 36, three up to dim 27.
-_tuples = st.one_of(st.lists(_pairs(2), min_size=2, max_size=2),
-                    st.lists(_pairs(1), min_size=3, max_size=3))
-
 # Criterion 9's negative tuple, reversed, and with a trivial factor in front.
 _REDUCIBLE = [[(rat(-1), rat(0)), (rat(-5, 2), rat(-3, 2))],
               [(rat(-5, 2), rat(-3, 2)), (rat(-1), rat(0))],
               [(rat(0), rat(0)), (rat(-1), rat(0)), (rat(-5, 2), rat(-3, 2))]]
 
 
-# No shrink phase: shrinking a failure through module builds takes minutes.
-@settings(max_examples=20, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(_tuples)
-@example(_REDUCIBLE[0])
-@example(_REDUCIBLE[1])
-@example(_REDUCIBLE[2])
-def test_highest_vector_span_matches_the_fraction_spin(pairs):
-    """The span of the highest vector of a product has the oracle's basis,
-    reducible products included."""
-    m = _tensor(pairs)
+@settings(MODULE_SETTINGS, max_examples=20)
+@given(trees(36))
+@example(build(product(_REDUCIBLE[0])))
+@example(build(product(_REDUCIBLE[1])))
+@example(build(product(_REDUCIBLE[2])))
+def test_highest_vector_span_matches_the_fraction_spin(tree):
+    """The span of the highest vector of a zoo module has the oracle's
+    basis, reducible products included."""
+    m = tree.module
     v = {m.highest_index: ONE}
     assert an.cyclic_span(m, v).basis == fraction_spin(m, v)
 
@@ -77,18 +59,18 @@ def _other_cases():
     t_ii eigenvector, a vector that is neither (both of mixed weight), the
     lowest vector (an eigenvector, not singular), and two vectors of a
     truncated module."""
-    tp = _tensor(_REDUCIBLE[0])  # zeta: its proper singular vector
+    tp = named("L(-1,0)xL(-5/2,-3/2)")  # zeta: its proper singular vector
     zeta = next(b for b in an.singular_vectors(tp).basis
                 if b.keys() - {tp.highest_index})
-    L2 = build_elementary(-2, 0)
-    M = build_small_verma(-2, 0, 8)
-    xi = M.space.labels.index(((0, 3),))
+    L2 = named("L(-2,0)")
+    m = named("M(-2,0)@8")
+    xi = m.space.labels.index(((0, 3),))
     return [(tp, zeta),
             (tp, {**zeta, tp.highest_index: ONE}),
             (L2, {0: ONE, 1: rat(2, 3)}),
             (L2, {L2.dim - 1: ONE}),
-            (M, {M.highest_index: ONE}),
-            (M, {xi: rat(5, 7)})]
+            (m, {m.highest_index: ONE}),
+            (m, {xi: rat(5, 7)})]
 
 
 def test_other_vectors_match_the_fraction_spin():
@@ -135,7 +117,7 @@ def test_tii_eigenvalue_matches_the_fraction_check():
 def test_room_rule_on_the_all_operator_spin(k):
     """xi_{0,k+1} in the truncated M(-k,0)@8 spins with the room rule,
     skipping filled weight spaces, and its basis is the oracle's."""
-    m = build_small_verma(-k, 0, 8)
+    m = build(M(-k, 0, 8)).module
     v = {m.space.labels.index(((0, k + 1),)): ONE}
     assert an.cyclic_span(m, v).basis == fraction_spin(m, v)
 
@@ -145,7 +127,7 @@ def test_room_rule_on_reducible_products(pairs):
     """The highest vector and the proper singular vectors of each reducible
     product (the reversed pair has none: its highest vector spans a proper
     submodule) spin with the room rule to the oracle's basis."""
-    m = _tensor(pairs)
+    m = build(product(pairs)).module
     zetas = [b for b in an.singular_vectors(m).basis
              if b.keys() - {m.highest_index}]
     assert len(zetas) == (pairs != _REDUCIBLE[1])
@@ -160,8 +142,7 @@ def test_room_rule_skips_products(monkeypatch):
     T_ij (36 x 39 = 1404), the count of a spin without the room rule.  The
     exact count also catches a rule that skips only some of the products it
     should.  No coefficient matrix is transposed twice."""
-    L2 = build_elementary(-2, 0)
-    m = tensor_modules(L2, L2)
+    m = build(product([(-2, 0), (-2, 0)])).module
     calls, transposed = [], []
     real_mat_vec, real_columns = an.mat_vec, an.columns
     monkeypatch.setattr(an, "mat_vec",
@@ -181,7 +162,7 @@ def test_spin_is_the_closure_on_a_module_that_breaks_rtt():
     the closure under all nine T_ij, so no triangular decomposition is
     assumed: the highest vector is cyclic (dim 9), although a spin by T_21,
     T_31, T_32 alone reaches dim 8."""
-    m = _tensor(_REDUCIBLE[1])
+    m = build(product(_REDUCIBLE[1])).module
     op = m.T[0][1]
     rows = [[dict(r) for r in R] for R in op.rows]
     rows[0][2][5] = rows[0][2].get(5, 0) + op.den
@@ -202,27 +183,26 @@ def _drinfeld(m):
     return an.drinfeld_polynomial(highest_weight_of(m)).P
 
 
-# No shrink phase, as above.
-@settings(max_examples=25, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(_tuples)
-@example([(rat(-1), rat(0)), (rat(-2), rat(0))])
-@example([(rat(-1), rat(0)), (rat(-1), rat(0)), (rat(-2), rat(0))])
-def test_criterion_implies_irreducible(pairs):
-    """Where the paper's criterion holds the product is irreducible, and its
-    Drinfeld polynomial is the product of the factors' polynomials."""
+@settings(MODULE_SETTINGS, max_examples=25)
+@given(trees(36, leaves=("L",), nodes=("tensor",)))
+@example(build(product([(-1, 0), (-2, 0)])))
+@example(build(product([(-1, 0), (-1, 0), (-2, 0)])))
+def test_criterion_implies_irreducible(tree):
+    """Where the paper's criterion holds on the factor pairs of a product of
+    elementary modules, the product is irreducible, and its Drinfeld
+    polynomial is the product of the factors' polynomials."""
+    m = tree.module
+    pairs = [(f.alpha, f.beta) for f in m.factors]
     assume(an.check_tensor_criterion(pairs))
-    m = _tensor(pairs)
     ok, cert = an.is_irreducible(m)
     assert ok, (pairs, cert)
-    factors = [_drinfeld(build_elementary(a, b)) for a, b in pairs]
+    factors = [_drinfeld(build(L(a, b)).module) for a, b in pairs]
     assert _drinfeld(m) == reduce(UniPoly.__mul__, factors)
 
 
 def test_threefold_tensor_of_l_minus_2_0_is_irreducible():
     """L(-2,0)^{(x)3}, dim 216: the highest vector spans it all."""
-    L2 = build_elementary(-2, 0)
-    m = tensor_modules(tensor_modules(L2, L2), L2)
+    m = build(product([(-2, 0)] * 3)).module
     ok, cert = an.is_irreducible(m)
     assert ok
     assert cert == {"singular_dim": 1, "cyclic_dim": 216, "dim": 216}

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from yosp import analysis as an
 from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
@@ -18,6 +18,7 @@ from yosp.super_linalg import OperatorPoly, bar, iprime, theta
 
 from dense import is_canonical, sparse
 from polys import from_roots
+from zoo import EXACT, L, M, MODULE_SETTINGS, build, named, trees
 
 
 def test_elementary_hw_formula():
@@ -112,17 +113,10 @@ def test_no_highest_vector_on_degenerate_top():
         highest_weight_of(m)
 
 
-MODULES = {"vector": vector_representation(),
-           "L(-2,0)": build_elementary(rat(-2), rat(0)),
-           "L(-1,0)xL(-5/2,-3/2)": tensor_modules(
-               build_elementary(rat(-1), rat(0)),
-               build_elementary(rat(-5, 2), rat(-3, 2))),
-           "M(-2/3,0)@6": build_small_verma(rat(-2, 3), rat(0), depth=6)}
-
-
-@pytest.mark.parametrize("name", sorted(MODULES))
+@pytest.mark.parametrize("name", ["L(-1,0)xL(-5/2,-3/2)", "L(-2,0)",
+                                  "M(-2/3,0)@6", "vector"])
 def test_highest_weight_is_the_tii_eigenvalue_triple(name):
-    m = MODULES[name]
+    m = named(name)
     h = {m.highest_index: ONE}
     assert highest_weight_of(m) == HighestWeight(
         *(tii_eigenvalue(m, h, i) for i in range(1, 4)))
@@ -156,21 +150,16 @@ def _dual(m):
     return d
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_elementary(-1, 0), lambda: build_elementary(-2, 0),
-    lambda: build_elementary(rat(-5, 2), rat(-3, 2)),
-    lambda: build_elementary(rat(1, 3), rat(7, 3)), vector_representation,
-    lambda: _l2_l1(), lambda: apply_twist(_l2_l1(), a=HALF),
-    lambda: tensor_modules(build_elementary(-1, 0),
-                           build_elementary(rat(-5, 2), rat(-3, 2))),
-    lambda: apply_twist(build_elementary(-1, 0), f=RatFunc.linear_ratio(2, 5)),
-], ids=["L(-1,0)", "L(-2,0)", "L(-5/2,-3/2)", "L(1/3,7/3)", "vector",
-        "L(-2,0)xL(-1,0)", "twist a=1/2", "L(-1,0)xL(-5/2,-3/2)",
-        "multiplier twist"])
-def test_dual_central_series_is_the_reflected_one(build):
+@pytest.mark.parametrize("name", [
+    "L(-1,0)", "L(-2,0)", "L(-5/2,-3/2)", "L(1/3,7/3)", "vector",
+    "L(-2,0)xL(-1,0)",
+    pytest.param("shift(L(-2,0)xL(-1,0),1/2)", id="twist a=1/2"),
+    "L(-1,0)xL(-5/2,-3/2)",
+    pytest.param("twist(L(-1,0),2,5)", id="multiplier twist")])
+def test_dual_central_series_is_the_reflected_one(name):
     """omega maps z(u) to z(-1-u): the dual's c(u) is c(-1-u), and also the
     series central_from_hw reads off the dual's highest weight."""
-    m = build()
+    m = named(name)
     d = _dual(m)
     assert d.c(rat(2, 7)) == m.c(-1 - rat(2, 7))
     assert _dual(d).c == m.c
@@ -275,8 +264,9 @@ def test_kron_accumulate_is_the_graded_kronecker_product(V, W, s, t):
 
 def oracle_tensor_coeffs(a, b, i, j):
     """Coefficients of T_ij(u) on a (x) b = sum_k T_ik (x) T_kj, where entry
-    ((r,t),(c,w)) of A (x) B is A[r][c] B[t][w] (-1)^{|B| parity(e_c)}; every
-    entry of B is visited and products are summed in place."""
+    ((r,t),(c,w)) of A (x) B is A[r][c] B[t][w] (-1)^{|B| parity(e_c)}; the
+    nonzero entries of each dense coefficient are listed by scanning it, and
+    products are summed in place."""
     nb = b.dim
     coeffs = [zeros(a.dim * nb)
               for _ in range(a.denom.degree + b.denom.degree + 1)]
@@ -285,24 +275,23 @@ def oracle_tensor_coeffs(a, b, i, j):
         for p, Ap in enumerate(a.op(i, k).coeffs):
             for q, Bq in enumerate(b.op(k, j).coeffs):
                 out = coeffs[p + q]
+                nonzero_b = [(t, w, y) for t, rowb in enumerate(Bq)
+                             for w, y in enumerate(rowb) if y != 0]
                 for r, rowa in enumerate(Ap):
                     for c, x in enumerate(rowa):
                         if x == 0:
                             continue
                         sgn = -1 if (odd_b and a.space.parity[c]) else 1
-                        for t, rowb in enumerate(Bq):
-                            for w, y in enumerate(rowb):
-                                out[r * nb + t][c * nb + w] += sgn * x * y
+                        for t, w, y in nonzero_b:
+                            out[r * nb + t][c * nb + w] += sgn * x * y
     return coeffs
 
 
-@pytest.mark.parametrize("a, b", [
-    (lambda: build_elementary(-1, 0), lambda: build_elementary(-2, 0)),
-    (lambda: build_small_verma(rat(-1, 3), 0, 4),
-     lambda: build_small_verma(rat(-2, 5), 0, 4)),
-], ids=["L(-1,0)xL(-2,0)", "M(-1/3,0)@4xM(-2/5,0)@4"])
+@pytest.mark.parametrize("a, b", [(L(-1, 0), L(-2, 0)),
+                                  (M("-1/3", 0, 4), M("-2/5", 0, 4))],
+                         ids=["L(-1,0)xL(-2,0)", "M(-1/3,0)@4xM(-2/5,0)@4"])
 def test_tensor_matches_dense_kron_oracle(a, b):
-    _assert_tensor_matches_oracle(a(), b())
+    _assert_tensor_matches_oracle(build(a).module, build(b).module)
 
 
 def _assert_tensor_matches_oracle(a, b):
@@ -316,24 +305,12 @@ def _assert_tensor_matches_oracle(a, b):
     assert _stores_no_zero(tp)
 
 
-# Exact elementary modules L(a/q, a/q + k) and truncated small Verma modules
-# M(a/q, b/r) at depth <= 4, with parameter denominators 1 to 5.
-_factor = st.one_of(
-    st.builds(lambda a, q, k: build_elementary(rat(a, q), rat(a, q) + k),
-              st.integers(-5, 3), st.integers(1, 5), st.integers(0, 2)),
-    st.builds(lambda a, q, b, r, d: build_small_verma(rat(a, q), rat(b, r), d),
-              st.integers(-5, 3), st.integers(1, 5), st.integers(-5, 3),
-              st.integers(1, 5), st.integers(0, 4)))
-
-
-# No shrink phase: shrinking a failure through module builds takes minutes.
-@settings(max_examples=40, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(_factor, _factor)
+@settings(MODULE_SETTINGS, max_examples=40)
+@given(trees(9), trees(9))
 def test_tensor_matches_dense_kron_oracle_on_random_pairs(a, b):
     """The integer Kronecker kernel against the dense Fraction oracle on
-    random pairs, truncated factors among them."""
-    _assert_tensor_matches_oracle(a, b)
+    random pairs of zoo modules, truncated ones among them."""
+    _assert_tensor_matches_oracle(a.module, b.module)
 
 
 # module_digest values recorded with the Fraction kernels that the integer
@@ -345,23 +322,17 @@ GOLDEN_DIGESTS = {"M(-2/3,0)@16": "2139a0dafc18",
 
 
 def test_module_digests_are_pinned():
-    t = tensor_modules(tensor_modules(build_elementary(-2, 0),
-                                      build_elementary(-2, 0)),
-                       build_elementary(-1, 0))
-    got = {"M(-2/3,0)@16": build_small_verma(rat(-2, 3), 0, 16),
+    t = named("L(-2,0)xL(-2,0)xL(-1,0)")
+    got = {"M(-2/3,0)@16": named("M(-2/3,0)@16"),
            "L(-2,0)xL(-2,0)xL(-1,0)": t, "dual": _dual(t),
            "twist a=1/2": apply_twist(t, a=HALF)}
     assert {k: an.module_digest(m) for k, m in got.items()} == GOLDEN_DIGESTS
 
 
-def _l2_l1():
-    return tensor_modules(build_elementary(-2, 0), build_elementary(-1, 0))
-
-
 def test_dual_is_the_signed_transpose_of_the_reflected_action():
     """T*_ij(u) = s theta_i theta_j P T_{i'j'}(1/2 - u)^t, where s = (-1)^{deg d}
     and P negates the odd rows when T_ij is odd, checked at sample points."""
-    m = _l2_l1()
+    m = named("L(-2,0)xL(-1,0)")
     d = _dual(m)
     s = (-1) ** m.denom.degree
     for i in range(1, 4):
@@ -375,12 +346,11 @@ def test_dual_is_the_signed_transpose_of_the_reflected_action():
                 assert d.op(i, j).eval(u0) == want
 
 
-@pytest.mark.parametrize("build", [
-    lambda: _dual(_l2_l1()),
-    lambda: apply_twist(_l2_l1(), a=rat(-3, 2)),
-], ids=["dual", "shift-twist"])
-def test_verifiers_pass_on_derived_modules(build):
-    m = build()
+@pytest.mark.parametrize("name", ["dual(L(-2,0)xL(-1,0))",
+                                  "shift(L(-2,0)xL(-1,0),-3/2)"],
+                         ids=["dual", "shift-twist"])
+def test_verifiers_pass_on_derived_modules(name):
+    m = named(name)
     assert an.verify_rtt(m)["result"] == "pass"
     assert an.verify_central(m)["result"] == "pass"
 
@@ -407,21 +377,14 @@ def _stores_no_zero(m):
     return all(is_canonical(op) for row in m.T for op in row)
 
 
-_elementary = st.builds(
-    lambda a, q, k: build_elementary(rat(a, q), rat(a, q) + k),
-    st.integers(-5, 3), st.integers(1, 3), st.integers(0, 2))
-
-
-# No shrink phase: shrinking a failure through module builds takes minutes.
-@settings(max_examples=15, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(_elementary, _elementary, st.integers(0, 35))
-def test_tensor_dual_and_quotient_store_no_zero(a, b, i):
-    """No zero and no common factor in the operators of a tensor product, its
-    dual, its u -> u + 1/2 twist and its quotient by the submodule a basis
-    vector generates, nor a zero in their files, which list entries in
+@settings(MODULE_SETTINGS, max_examples=15)
+@given(trees(36, leaves=EXACT), st.integers(0, 35))
+def test_tensor_dual_and_quotient_store_no_zero(tree, i):
+    """No zero and no common factor in the operators of an exact zoo module,
+    its dual, its u -> u + 1/2 twist and its quotient by the submodule a
+    basis vector generates, nor a zero in their files, which list entries in
     row-major order."""
-    t = tensor_modules(a, b)
+    t = tree.module
     results = [t, _dual(t), apply_twist(t, a=HALF)]
     span = an.cyclic_span(t, sparse([ONE if k == i % t.dim else ZERO
                                      for k in range(t.dim)]))

@@ -14,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from yosp import analysis as an
 from yosp.exact_arith import Scalar, rat
-from yosp.hopf_tensor import tensor_modules
-from yosp.rep_core import TruncatedInput, build_elementary, build_small_verma
+from yosp.rep_core import TruncatedInput
 from yosp._linalg import (SingularMatrix, Span, columns, inverse, mat_vec,
                           nullspace, rank, rref)
 
 from dense import mat_vec as dense_mat_vec, sparse, sparse_rows
+from zoo import named
 
 # Mostly zero, like the operators of a weight module; the nonzero entries
 # are plain ints or Fractions, as Span's callers pass them.
@@ -210,16 +210,8 @@ def structure_pins(m):
             "quotient": an.module_digest(q), "osp": osp}
 
 
-MODULES = {
-    "L(-1,0)xL(-5/2,-3/2)": lambda: tensor_modules(
-        build_elementary(rat(-1), rat(0)), build_elementary(rat(-5, 2), rat(-3, 2))),
-    "L(-2,0)xL(-3,-1)": lambda: tensor_modules(
-        build_elementary(rat(-2), rat(0)), build_elementary(rat(-3), rat(-1))),
-    "M(-2,0)@8": lambda: build_small_verma(rat(-2), rat(0), 8),
-}
-
-
-# Recorded with the row-driven product and the Fraction Span they replaced.
+# Keyed by the zoo's names.  Recorded with the row-driven product and the
+# Fraction Span they replaced.
 PINS = {
     "L(-1,0)xL(-5/2,-3/2)": {"dims": [9, 2, 1, 8],
         "singular": "f50d61b890a38b83", "cyclic": "c451a0b3bc4387dc",
@@ -235,4 +227,4 @@ PINS = {
 
 @pytest.mark.parametrize("name", PINS)
 def test_structure_outputs_are_pinned(name):
-    assert structure_pins(MODULES[name]()) == PINS[name]
+    assert structure_pins(named(name)) == PINS[name]

@@ -6,11 +6,9 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from yosp.exact_arith import HALF, KAPPA, ONE, RatFunc, UniPoly, ZERO, rat
-from yosp.analysis import Subspace, quotient_module
-from yosp.hopf_tensor import dual_module, tensor_modules
 from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
                            ReconstructionInconsistent, apply_twist,
                            build_elementary, build_small_verma,
@@ -18,10 +16,11 @@ from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
                            reconstruct_full_T, save_module,
                            small_verma_denominator, to_json_dict,
                            vector_representation)
-from yosp.super_linalg import GradedSpace, bar
+from yosp.super_linalg import bar
 
 from dense import dense, mat_vec
 from polys import from_roots
+from zoo import BY_KIND, MODULE_SETTINGS, each_kind, named, regraded, trees
 
 
 def _label_index(m, label):
@@ -79,29 +78,13 @@ def test_weights_and_parities():
 
 
 def _graded_modules():
-    """One module of each kind yosp builds: the vector representation, exact
-    and half-integer elementary modules, a small Verma module, a tensor
-    product, its dual, both twists, a quotient and a module read back from
-    its file."""
-    tp = tensor_modules(build_elementary(rat(-1), rat(0)),
-                        build_elementary(rat(-5, 2), rat(-3, 2)))
-    zeta = {tp.space.labels.index(((1, 1), (0, 0))): ONE,
-            tp.space.labels.index(((0, 1), (0, 1))): rat(3),
-            tp.space.labels.index(((0, 0), (1, 1))): rat(-1)}
-    return [vector_representation(), build_elementary(rat(-3), rat(0)),
-            build_elementary(rat(-1, 2), rat(0), depth=6),
-            build_small_verma(rat(-1, 3), rat(0), 6), tp, dual_module(tp),
-            apply_twist(tp, a=HALF), apply_twist(tp, f=RatFunc.linear_ratio(1, 3)),
-            quotient_module(tp, Subspace([zeta])),
-            from_json_dict(json.loads(json.dumps(to_json_dict(tp))))]
-
-
-def _regraded(m, k, parity_flip=0, weight_shift=0):
-    """m with basis vector k's parity flipped and/or its weight moved."""
-    s = m.space
-    parity = tuple(p ^ parity_flip if a == k else p for a, p in enumerate(s.parity))
-    weight = tuple(w + weight_shift if a == k else w for a, w in enumerate(s.weight))
-    return dataclasses.replace(m, space=GradedSpace(s.dim, parity, weight, s.labels))
+    """One module of each kind of leaf and node in the zoo: the vector
+    representation, exact and half-integer elementary modules, a small Verma
+    module, a tensor product, its dual, both twists and a quotient; and the
+    product read back from its file."""
+    tp = named(BY_KIND["tensor"])
+    return [named(n) for n in BY_KIND.values()] + [
+        from_json_dict(json.loads(json.dumps(to_json_dict(tp))))]
 
 
 def test_grading_holds_on_constructed_modules():
@@ -131,16 +114,16 @@ def test_grading_violations_flag_one_regraded_basis_vector(change):
     gives."""
     for m in _graded_modules():
         for k in (0, m.dim - 1):
-            regraded = _regraded(m, k, **change)
-            bad = regraded.grading_violations()
+            bad_m = regraded(m, k, **change)
+            bad = bad_m.grading_violations()
             assert bad and all(k in (a, b) for _, _, a, b in bad)
-            assert bad == _fraction_violations(regraded)
+            assert bad == _fraction_violations(bad_m)
 
 
 def test_reconstruction_refuses_a_broken_parity():
     """The corner T_11, T_12, T_21 of L(-3,0) on a space with one parity
     flipped passes the cross-relation but not the grading check."""
-    m = _regraded(build_elementary(rat(-3), rat(0)), 0, parity_flip=1)
+    m = regraded(build_elementary(rat(-3), rat(0)), 0, parity_flip=1)
     stub = [[m.T[0][0], m.T[0][1], None], [m.T[1][0], None, None], [None] * 3]
     with pytest.raises(ReconstructionInconsistent, match="parity"):
         reconstruct_full_T(dataclasses.replace(m, T=stub))
@@ -294,24 +277,13 @@ def test_json_dict_round_trip_in_memory():
     assert m2.space == m.space
 
 
-_ALPHAS = st.sampled_from([rat(-2), rat(-1, 3), rat(1, 2)])
-_DEPTHS = st.integers(0, 4)
-_FACTOR = st.one_of(
-    # beta - alpha an integer, a half-integer and generic
-    st.builds(lambda a, gap, d: build_small_verma(a, a + gap, d), _ALPHAS,
-              st.sampled_from([rat(2), rat(1, 2), rat(1, 3)]), _DEPTHS),
-    st.builds(lambda a, k: build_elementary(a, a + k), _ALPHAS, st.integers(0, 2)),
-    st.builds(lambda a, k, d: build_elementary(a, a + k - HALF, depth=d),
-              _ALPHAS, st.integers(0, 2), _DEPTHS))
-_MODULES = st.one_of(_FACTOR, st.tuples(_FACTOR, _FACTOR).map(
-    lambda pair: tensor_modules(*pair)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(m=_MODULES)
-def test_file_round_trip_keeps_every_factor(m):
+@settings(MODULE_SETTINGS, max_examples=30)
+@given(trees(81))
+@each_kind()
+def test_file_round_trip_keeps_every_factor(tree):
     """Each factor's depth is written and read back as it is, exact or not,
-    and a second save writes the same bytes."""
+    and a second save writes the same bytes, on every zoo module."""
+    m = tree.module
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
         save_module(m, p1)
