@@ -103,7 +103,7 @@ def module_digest(m: ModuleRep) -> str:
 RELATION_MARGIN = 4
 SINGULAR_MARGIN = 2
 
-_P, _Q, _ = build_P_Q_R()  # P swaps legs, Q = alpha beta^T has rank one
+_P, _Q, _R = build_P_Q_R()  # P swaps legs, Q = alpha beta^T has rank one
 _SWAP = [next((f, int(x)) for f, x in row.items()) for row in _P]
 _BETA = {f: int(x) for f, x in next(row for row in _Q if row).items()}
 _ALPHA = [int(row.get(min(_BETA), 0) / _BETA[min(_BETA)]) for row in _Q]
@@ -245,9 +245,8 @@ def verify_rtt(m: ModuleRep, seed: int = 0) -> dict:
     D = m.denom.degree
     base = random.Random(seed).randint(-6, 6)
     S = [rat(base + 2 * k) for k in range(D + 3)]
-    # 2 w(w-kappa) R(w) = r1 + rP P + rQ Q; P has one +-1 per row, Q three
-    parts = {w: tuple(int(2 * c) for c in (w * w - KAPPA * w, KAPPA - w, w))
-             for w in (S[0] - v for v in S)}
+    # 2 w(w-kappa) R(w) = 2 r1 + 2 rP P + 2 rQ Q; P has one +-1 per row, Q three
+    parts = {w: tuple(int(2 * r(w)) for r in _R) for w in (S[0] - v for v in S)}
     scale = max(abs(a) + abs(b) + 3 * abs(c) for a, b, c in parts.values())
     windows, M, K, shl, at = _kernel(m, S, scale)
     legs = [(_rows(T), [[_times(R, shl) for R in row] for row in T])

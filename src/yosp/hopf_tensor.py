@@ -138,6 +138,9 @@ def highest_weight_of(m: ModuleRep) -> HighestWeight:
                              for i in range(1, 4)))
     except ValueError as exc:
         raise NoHighestVector("top vector is not a t_ii(u) eigenvector") from exc
+    # t_ii(u) = 1 + O(1/u), so no highest weight has a zero eigenvalue
+    if any(lam.num.is_zero() for lam in (hw.l1, hw.l2, hw.l3)):
+        raise NoHighestVector("top vector has a zero t_ii(u) eigenvalue")
     if not hw.consistency_holds():
         raise NoHighestVector("eigenvalue triple fails the consistency condition")
     return hw

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm
 from typing import Tuple
 
-from .exact_arith import KAPPA, ONE, Scalar, UniPoly, rat
+from .exact_arith import KAPPA, Scalar, UniPoly, rat
 from ._linalg import add_multiple, sparse_vec, zeros
 
 BAR = (None, 1, 0, 1)      # BAR[i] for i in 1..3
@@ -91,10 +91,11 @@ def _pair_index(a: int, b: int) -> int:
 
 
 def build_P_Q_R():
-    """Return (P, Q, Rc) as sparse rows: the permutation-type operator P with
-    P[(i,j),(j,i)] = (-1)^{bar i bar j}, its partial super-transpose Q with
-    Q[(i,i'),(j,j')] = (-1)^{bar j} theta_i theta_j, and the coefficient list
-    of the cleared R-matrix u(u-kappa)R(u) = kappa P + u(-kappa-P+Q) + u^2."""
+    """Return (P, Q, R): as sparse rows, the permutation-type operator P with
+    P[(i,j),(j,i)] = (-1)^{bar i bar j} and its partial super-transpose Q with
+    Q[(i,i'),(j,j')] = (-1)^{bar j} theta_i theta_j; and R = (r1, rP, rQ),
+    the UniPolys of the cleared R-matrix of R(u) = 1 - P/u + Q/(u-kappa):
+    u(u-kappa)R(u) = r1(u) 1 + rP(u) P + rQ(u) Q."""
     P = [{} for _ in range(9)]
     Q = [{} for _ in range(9)]
     for i in range(1, 4):
@@ -102,13 +103,8 @@ def build_P_Q_R():
             P[_pair_index(i, j)][_pair_index(j, i)] = rat((-1) ** (bar(i) * bar(j)))
             Q[_pair_index(i, iprime(i))][_pair_index(j, iprime(j))] = \
                 rat((-1) ** bar(j) * theta(i) * theta(j))
-    c0 = [{b: KAPPA * x for b, x in row.items()} for row in P]
-    c1 = [{a: -KAPPA} for a in range(9)]
-    for row, p, q in zip(c1, P, Q):
-        add_multiple(row, -1, p)
-        add_multiple(row, 1, q)
-    c2 = [{a: ONE} for a in range(9)]
-    return P, Q, [c0, c1, c2]
+    R = (UniPoly([0, -KAPPA, 1]), UniPoly([KAPPA, -1]), UniPoly([0, 1]))
+    return P, Q, R
 
 
 class OperatorPoly:

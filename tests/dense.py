@@ -45,6 +45,13 @@ def is_canonical(op):
         for k, R in enumerate(op.rows))
 
 
+def unit(m, label):
+    """The dense unit vector of the basis vector of m labelled label."""
+    v = [ZERO] * m.dim
+    v[m.space.labels.index(label)] = ONE
+    return v
+
+
 def eye(n):
     """The dense n x n identity."""
     return [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]

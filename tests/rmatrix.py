@@ -1,20 +1,36 @@
-"""Test-only R-matrix helpers: the cleared R(u) at a point, placed into two
-legs of (C^{1|2})^{(x)3}, and the Yang-Baxter equation at a sample point.
-The RTT oracle in test_certify_kernel.py and the R-matrix tests use them."""
+"""Test-only R-matrix helpers: the cleared R(u), assembled densely from the
+P, Q and R = (r1, rP, rQ) that verify_rtt reads, as coefficients and at a
+point; placed into two legs of (C^{1|2})^{(x)3}; and the Yang-Baxter
+equation at a sample point.  The RTT oracle in test_certify_kernel.py and the
+R-matrix tests use them."""
 
+from functools import reduce
 from typing import Tuple
 
 from yosp.exact_arith import rat
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.super_linalg import _pair_index, bar, build_P_Q_R
 
-from dense import dense_rows
+from dense import dense_rows, eye
+
+P, Q, R = build_P_Q_R()
+PARTS = (eye(9), dense_rows(P, 9), dense_rows(Q, 9))  # what r1, rP, rQ multiply
 
 
-def rc_eval(Rc, w):
-    """Evaluate a dense cleared R-matrix coefficient list at w."""
-    w = rat(w)
-    return mat_add(Rc[0], mat_add(mat_scale(Rc[1], w), mat_scale(Rc[2], w * w)))
+def _combine(cs):
+    """sum c M over the coefficients cs and the PARTS 1, P, Q."""
+    return reduce(mat_add, [mat_scale(M, c) for c, M in zip(cs, PARTS)])
+
+
+def rc_coeffs():
+    """The dense u^k coefficients of Rc(u) = r1(u) 1 + rP(u) P + rQ(u) Q."""
+    return [_combine([r.coeffs[k] if k < len(r.coeffs) else 0 for r in R])
+            for k in range(max(len(r.coeffs) for r in R))]
+
+
+def rc_eval(w):
+    """Rc(w) = r1(w) 1 + rP(w) P + rQ(w) Q as a dense 9 x 9 matrix."""
+    return _combine([r(rat(w)) for r in R])
 
 
 def embed_two_leg(R9, legs: Tuple[int, int], nlegs: int = 3):
@@ -52,10 +68,9 @@ def embed_two_leg(R9, legs: Tuple[int, int], nlegs: int = 3):
 def ybe_holds_at(u, v) -> bool:
     """Yang-Baxter on (C^{1|2})^{(x)3} at a sample point, denominators cleared."""
     u, v = rat(u), rat(v)
-    Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
-    r12 = embed_two_leg(rc_eval(Rc, u - v), (0, 1))
-    r13 = embed_two_leg(rc_eval(Rc, u), (0, 2))
-    r23 = embed_two_leg(rc_eval(Rc, v), (1, 2))
+    r12 = embed_two_leg(rc_eval(u - v), (0, 1))
+    r13 = embed_two_leg(rc_eval(u), (0, 2))
+    r23 = embed_two_leg(rc_eval(v), (1, 2))
     lhs = mat_mul(mat_mul(r12, r13), r23)
     rhs = mat_mul(mat_mul(r23, r13), r12)
     return lhs == rhs

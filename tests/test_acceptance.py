@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from yosp.exact_arith import HALF, RatFunc, ZERO, ONE, rat
+from yosp.exact_arith import HALF, RatFunc, ZERO, rat
 from yosp._linalg import Span
 from yosp.cli import main
 from yosp.rep_core import (build_elementary, build_small_verma, save_module,
@@ -16,7 +16,7 @@ from yosp import analysis as an
 
 from characters import (char_elementary_half, char_elementary_int,
                         char_small_verma, character_prefix)
-from dense import mat_vec, sparse
+from dense import mat_vec, sparse, unit
 from polys import from_roots
 
 
@@ -26,12 +26,6 @@ def _report(num, desc, ok):
     ACCEPTANCE_LOG.append(line)
     print(line, flush=True)
     assert ok, line
-
-
-def _unit(m, label):
-    v = [ZERO] * m.dim
-    v[m.space.labels.index(label)] = ONE
-    return v
 
 
 @pytest.fixture(scope="module")
@@ -147,14 +141,18 @@ def test_criterion_5_example_tensor_product():
 
 
 def test_criterion_6_characters():
-    ok = (character_prefix(build_small_verma(rat(-1, 3), rat(0), depth=10), 8)
-          == char_small_verma(8))
+    ok = True
+    for depth in (8, 10):
+        m = build_small_verma(rat(-1, 3), rat(0), depth=depth)
+        ok = ok and character_prefix(m, depth - 2) == char_small_verma(depth - 2)
     for k in range(5):
         m = build_elementary(rat(-k), rat(0))
         ok = ok and character_prefix(m, 2 * k) == char_elementary_int(k, 2 * k)
     for k in range(1, 4):
-        m = build_elementary(rat(-k) + HALF, rat(0), depth=10)
-        ok = ok and character_prefix(m, 7) == char_elementary_half(k, 7)
+        for depth in (9, 10):
+            m = build_elementary(rat(-k) + HALF, rat(0), depth=depth)
+            ok = ok and (character_prefix(m, depth - 3)
+                         == char_elementary_half(k, depth - 3))
     _report(6, "characters match the three closed forms", ok)
 
 
@@ -224,7 +222,7 @@ def test_criterion_10_lowering_lemma():
     ok = True
     for s in range(4):
         u0 = -a2 - s
-        eta = _unit(tp, ((0, 0), (0, s)))
+        eta = unit(tp, ((0, 0), (0, s)))
         w = mat_vec(tp.op(2, 1).eval(u0), eta)
         coeff = (b1 - a2 - s) * (a1 - a2 - s - HALF)
         j = tp.space.labels.index(((0, 0), (0, s + 1)))
@@ -238,7 +236,7 @@ def test_criterion_11_closing_example():
     ok = True
     for k in (1, 2):
         m = build_small_verma(rat(-k), rat(0), depth)
-        v = sparse(_unit(m, ((0, k + 1),)))
+        v = sparse(unit(m, ((0, k + 1),)))
         l1 = an.tii_eigenvalue(m, v, 1)
         l2 = an.tii_eigenvalue(m, v, 2)
         ok = ok and l1 == RatFunc.linear_ratio(rat(1), rat(0))

@@ -23,9 +23,8 @@ from yosp import analysis as an
 from yosp.exact_arith import KAPPA, RatFunc, Scalar, UniPoly, ZERO, rat, rat_str
 from yosp._linalg import mat_add, mat_mul, mat_scale, zeros
 from yosp.rep_core import TruncatedInput
-from yosp.super_linalg import OperatorPoly, bar, build_P_Q_R, iprime, theta
+from yosp.super_linalg import OperatorPoly, bar, iprime, theta
 
-from dense import dense_rows
 from rmatrix import rc_eval
 from zoo import M, MODULE_SETTINGS, VECTOR, build, named, product, trees
 
@@ -64,7 +63,6 @@ def oracle_rtt(m, seed=0, margin=4):
     base = random.Random(seed).randint(-6, 6)
     us = vs = [rat(base + 2 * k) for k in range(D + 3)]
     cols = an._checked_cols(m, margin)
-    Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
     n = m.dim
     at = {x: [[_rows(_at(m.op(i, j), x)) for j in range(1, 4)]
               for i in range(1, 4)] for x in us}
@@ -86,7 +84,7 @@ def oracle_rtt(m, seed=0, margin=4):
                                      _product(Mu[A - 1][C - 1], Mv[B - 1][Dd - 1]))
                             Y[ef] = (-1 if sAC and bar(Dd) else 1,
                                      _product(Mv[B - 1][Dd - 1], Mu[A - 1][C - 1]))
-            R = rc_eval(Rc, u0 - v0)
+            R = rc_eval(u0 - v0)
             for p in range(9):
                 for q in range(9):
                     lhs, rhs = {}, {}
@@ -279,13 +277,12 @@ def _rtt_gap(m, seed=0, margin=4):
     base = random.Random(seed).randint(-6, 6)
     us = [rat(base + 2 * k) for k in range(D + 3)]
     cols = an._checked_cols(m, margin)
-    Rc = [dense_rows(C, 9) for C in build_P_Q_R()[2]]
     at = {x: [[_rows(_at(m.op(i, j), x)) for j in range(1, 4)]
               for i in range(1, 4)] for x in us}
     top = 0
     for a, u0 in enumerate(us):
         for v0 in us[a + 1:]:
-            Mu, Mv, R = at[u0], at[v0], rc_eval(Rc, u0 - v0)
+            Mu, Mv, R = at[u0], at[v0], rc_eval(u0 - v0)
             # X[e, f], resp. Y[e, f], as in oracle_rtt
             X = {(e, f): (-1 if (bar(e // 3 + 1) + bar(f // 3 + 1)) % 2
                           and bar(e % 3 + 1) else 1,

@@ -374,6 +374,15 @@ def _zero_top_weight(d):
     return d
 
 
+def _zero_top_eigenvalues(d):
+    """lambda_1 = lambda_2 = 0: the consistency condition holds as 0 = 0,
+    but no highest weight has a zero t_ii(u) eigenvalue."""
+    h = d["highest_index"]
+    for ij in ("11", "22"):
+        d["T"][ij] = [[t for t in C if t[:2] != [h, h]] for C in d["T"][ij]]
+    return d
+
+
 MOD = object()  # stands for the module file's path in argv
 OUT = object()  # stands for an output file's path in argv
 L2 = ["elementary", "--alpha", "-2", "--beta", "0"]
@@ -383,6 +392,8 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
 @pytest.mark.parametrize("build, argv, corrupt, message", [
     (L2, ["classify", MOD], _not_eigenvector, "eigenvector"),
     (L2, ["drinfeld", MOD], _not_eigenvector, "eigenvector"),
+    (L2, ["classify", MOD], _zero_top_eigenvalues, "zero t_ii(u) eigenvalue"),
+    (L2, ["drinfeld", MOD], _zero_top_eigenvalues, "zero t_ii(u) eigenvalue"),
     (VERMA, ["drinfeld", MOD], None, "deg P would be 1/3, not in Z_+"),
     (L2, ["verify", "rtt", MOD], _flip_sign, "RTT fails"),
     (L2, ["verify", "central", MOD], _flip_sign, "central relation fails"),
@@ -398,6 +409,7 @@ VERMA = ["small-verma", "--alpha=-1/3", "--beta", "0", "--depth", "6"]
     (L2, ["singular", MOD], _flip_last_parity, "grading fails"),
     (L2, ["quotient", MOD, "--out", OUT], _flip_last_parity, "grading fails"),
 ], ids=["classify-no-highest-vector", "drinfeld-no-highest-vector",
+        "classify-zero-eigenvalue", "drinfeld-zero-eigenvalue",
         "drinfeld-not-dominant", "rtt-relation-violation",
         "central-relation-violation", "central-non-polynomial-target",
         "gauss-relation-violation",

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from yosp import analysis as an
 from yosp.exact_arith import HALF, ONE, RatFunc, UniPoly, ZERO, rat
 from yosp._linalg import zeros
-from yosp.rep_core import (Factor, TruncatedInput, apply_twist,
+from yosp.rep_core import (Factor, ModuleRep, TruncatedInput, apply_twist,
                            build_elementary, build_small_verma, load_module,
                            save_module, to_json_dict, vector_representation)
 from yosp.hopf_tensor import (HighestWeight, NoHighestVector, _kron_accumulate,
                               central_from_hw, dual_module, elementary_hw,
                               highest_weight_of, tensor_modules, tii_eigenvalue)
-from yosp.super_linalg import OperatorPoly, bar, iprime, theta
+from yosp.super_linalg import GradedSpace, OperatorPoly, bar, iprime, theta
 
 from dense import is_canonical, sparse
 from polys import from_roots
@@ -45,7 +45,6 @@ def test_highest_weight_of_elementary():
 
 
 def test_vector_representation_hw():
-    from yosp.rep_core import vector_representation
     hw = highest_weight_of(vector_representation())
     assert hw.l1 == RatFunc.linear_ratio(rat(-1), rat(0))
 
@@ -101,10 +100,6 @@ def test_tensor_of_different_depths_certifies():
 
 def test_no_highest_vector_on_degenerate_top():
     """A hand-built action with a two-dimensional top weight space is rejected."""
-    from yosp.exact_arith import UniPoly, ZERO, ONE
-    from yosp.rep_core import ModuleRep
-    from yosp.super_linalg import GradedSpace, OperatorPoly
-
     space = GradedSpace(2, (0, 0), (rat(1), rat(1)), (("x",), ("y",)))
     zero_op = OperatorPoly([[[ZERO, ZERO], [ZERO, ZERO]]], 0)
     T = [[zero_op] * 3 for _ in range(3)]

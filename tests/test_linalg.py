@@ -1,8 +1,9 @@
-"""The integer echelon Span and the column-driven product against
-independent oracles: sympy's rref over the rationals, the dense Fraction
-product of tests/dense.py and a row-wise cut.  The structure outputs of
-three modules are pinned as order-independent digests, so that a change of
-kernel cannot silently change an answer."""
+"""The integer echelon Span, rref, rank, nullspace and inverse, and the
+column-driven product against independent oracles: sympy's rref, nullspace
+and inverse over the rationals, the dense Fraction product of tests/dense.py
+and a row-wise cut.  The structure outputs of three modules are pinned as
+order-independent digests, so that a change of kernel cannot silently change
+an answer."""
 
 import hashlib
 import json
@@ -13,7 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from yosp import analysis as an
-from yosp.exact_arith import Scalar, rat
+from yosp.exact_arith import ONE, Scalar, rat
 from yosp.rep_core import TruncatedInput
 from yosp._linalg import (SingularMatrix, Span, columns, inverse, mat_vec,
                           nullspace, rank, rref)
@@ -33,8 +34,10 @@ coefficients = st.one_of(st.integers(-3, 3),
 
 @st.composite
 def matrices(draw, square=False):
-    """A sparse matrix of mixed int and Fraction entries in which some rows
-    are planted combinations of two earlier rows."""
+    """A sparse matrix of mixed int and Fraction entries, or of Fractions
+    only, in which some later rows are planted combinations of two earlier
+    rows, and the first row is sometimes row 1 plus a multiple of row 2, so
+    that singular inputs are common."""
     n = draw(st.integers(1, 7))
     m = n if square else draw(st.integers(1, 7))
     A = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
@@ -43,6 +46,11 @@ def matrices(draw, square=False):
             i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
             a, b = draw(coefficients), draw(coefficients)
             A[r] = [a * x + b * y for x, y in zip(A[i], A[j])]
+    if n >= 3 and draw(st.booleans()):
+        c = draw(entries)
+        A[0] = [x + c * y for x, y in zip(A[1], A[2])]
+    if draw(st.booleans()):
+        A = [[rat(x) for x in row] for row in A]
     return A
 
 
@@ -90,6 +98,9 @@ def test_span_matches_sympy_rref(A, rnd):
     assert_rows_are_primitive(span)
     assert span.basis() == want and span.pivots() == pivots
     assert all(type(x) is Scalar for b in span.basis() for x in b.values())
+    for r in sparse_rows(A):
+        assert span.contains(r) and not span.add(r)
+        assert span.reduce(r) == {}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -138,6 +149,16 @@ def test_span_basis_holds_fractions_of_its_integer_rows():
     assert span._rows == {0: {0: 3, 2: 1}, 1: {1: 3, 2: -2}}
     assert span.basis() == [{0: 1, 2: rat(1, 3)}, {1: 1, 2: rat(-2, 3)}]
     assert span.reduce({0: 1, 1: 1, 2: 1}) == {2: rat(4, 3)}
+
+
+def test_span_basis_is_a_copy():
+    """add edits its rows in place; a basis taken earlier keeps its values."""
+    span = Span()
+    span.add({0: ONE, 1: ONE})
+    before = span.basis()
+    span.add({1: ONE})
+    assert before == [{0: ONE, 1: ONE}]
+    assert span.basis() == [{0: ONE}, {1: ONE}]
 
 
 # ---------------------------------------------------------------------------

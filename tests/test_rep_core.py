@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from yosp.exact_arith import HALF, KAPPA, ONE, RatFunc, UniPoly, ZERO, rat
-from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
+from yosp.rep_core import (Factor, MissingDepth,
                            ReconstructionInconsistent, apply_twist,
                            build_elementary, build_small_verma,
                            central_ratfunc, from_json_dict, load_module,
@@ -18,30 +18,14 @@ from yosp.rep_core import (Factor, MissingDepth, ModuleRep,
                            vector_representation)
 from yosp.super_linalg import bar
 
-from dense import dense, mat_vec
+from dense import dense, mat_vec, unit
 from polys import from_roots
 from zoo import BY_KIND, MODULE_SETTINGS, each_kind, named, regraded, trees
-
-
-def _label_index(m, label):
-    return m.space.labels.index(label)
-
-
-def _unit(m, label):
-    v = [ZERO] * m.dim
-    v[_label_index(m, label)] = ONE
-    return v
 
 
 # ---------------------------------------------------------------------------
 # dimensions and basic invariants
 # ---------------------------------------------------------------------------
-
-def test_elementary_dimension_formula():
-    for k in range(7):
-        m = build_elementary(rat(-k), rat(0))
-        assert m.dim == (k + 1) * (k + 2) // 2
-
 
 def test_elementary_trivial_module():
     m = build_elementary(rat(2), rat(2))
@@ -139,7 +123,7 @@ def test_t11_eigenvalue_on_basis():
     u0 = rat(4)
     M = m.op(1, 1).eval(u0)
     for i, ((r, s),) in enumerate(m.space.labels):
-        w = mat_vec(M, _unit(m, ((r, s),)))
+        w = mat_vec(M, unit(m, ((r, s),)))
         expect = (u0 + alpha + r - HALF) * (u0 + alpha + s)
         assert w[i] == expect
         assert all(x == 0 for j, x in enumerate(w) if j != i)
@@ -149,9 +133,9 @@ def test_t21_on_highest_vector():
     alpha = rat(-2)
     m = build_elementary(alpha, rat(0))
     u0 = rat(3)
-    w = mat_vec(m.op(2, 1).eval(u0), _unit(m, ((0, 0),)))
+    w = mat_vec(m.op(2, 1).eval(u0), unit(m, ((0, 0),)))
     # T_21(u) xi = -(2u+2alpha-1) xi_01 (the r=s=0 case has a single target)
-    j = _label_index(m, ((0, 1),))
+    j = m.space.labels.index(((0, 1),))
     assert w[j] == -(2 * u0 + 2 * alpha - 1)
     assert all(x == 0 for i, x in enumerate(w) if i != j)
 
@@ -159,7 +143,7 @@ def test_t21_on_highest_vector():
 def test_t12_kills_highest_vector():
     m = build_elementary(rat(-3), rat(0))
     for M in m.op(1, 2).coeffs:
-        assert all(x == 0 for x in mat_vec(M, _unit(m, ((0, 0),))))
+        assert all(x == 0 for x in mat_vec(M, unit(m, ((0, 0),))))
 
 
 def test_denominator_and_central_series():

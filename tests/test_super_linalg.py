@@ -4,7 +4,6 @@ from fractions import Fraction
 from math import comb
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from yosp.exact_arith import KAPPA, ONE, UniPoly, ZERO, rat
@@ -13,10 +12,10 @@ from yosp.super_linalg import (GradedSpace, OperatorPoly, bar, build_P_Q_R,
                                iprime, st_sign, theta)
 
 from dense import dense_rows, eye, is_canonical, sparse_rows
-from rmatrix import rc_eval, ybe_holds_at
+from rmatrix import rc_coeffs, rc_eval, ybe_holds_at
 
-P, Q, RC = build_P_Q_R()
-P, Q, RC = dense_rows(P, 9), dense_rows(Q, 9), [dense_rows(C, 9) for C in RC]
+P, Q, _ = build_P_Q_R()
+P, Q, RC = dense_rows(P, 9), dense_rows(Q, 9), rc_coeffs()
 
 
 def test_index_conventions():
@@ -26,10 +25,12 @@ def test_index_conventions():
 
 
 def test_p_q_r_are_sparse_rows_without_zeros():
-    p, q, rc = build_P_Q_R()
-    for M in [p, q, *rc]:
+    """P and Q are sparse rows that store no zero; R is three UniPolys."""
+    p, q, r = build_P_Q_R()
+    for M in (p, q):
         assert len(M) == 9
         assert all(isinstance(row, dict) and all(row.values()) for row in M)
+    assert len(r) == 3 and all(isinstance(x, UniPoly) for x in r)
 
 
 def test_p_is_an_involution():
@@ -74,7 +75,7 @@ def test_r_matrix_is_p_symmetric():
 def test_r_matrix_at_zero_is_kappa_p():
     """Rc(0) = kappa P: the relation holds on the diagonal u = v."""
     assert RC[0] == mat_scale(P, KAPPA)
-    assert rc_eval(RC, 0) == mat_scale(P, KAPPA)
+    assert rc_eval(0) == mat_scale(P, KAPPA)
 
 
 def test_yang_baxter_equation():
